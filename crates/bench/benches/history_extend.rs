@@ -1,15 +1,15 @@
 //! Per-entry cost of the compact verifier history: bounded ring ingest
-//! (ring slot write + rollup update + one SHA-256 chain extension per
-//! eviction) against the unbounded `BTreeMap` baseline it replaced.
+//! (ring slot write + rollup update + one SHA-256 extend of the entry's
+//! running digest; an eviction hashes nothing) against the unbounded
+//! history, which pays the same one extend per entry.
 //!
-//! Three window shapes per mode — 1, 8 and 64 retained entries — at the
-//! arrival pattern the fleet actually produces: strictly increasing
-//! timestamps (collections arrive in order per device on a lossless link).
-//! `ring/N` holds resident state at N and pays one chain extension per
-//! ingest once warm; `unbounded` grows its map without bound, which is the
-//! O(log n) insert plus allocator traffic the ring eliminates. A separate
-//! `extend_digest` benchmark prices the raw PCR-style hash-chain step on
-//! its own.
+//! Three window shapes — 1, 8 and 64 retained entries — at the arrival
+//! pattern the fleet actually produces: strictly increasing timestamps
+//! (collections arrive in order per device on a lossless link). `ring/N`
+//! holds resident state at N and evicts on every ingest once warm;
+//! `unbounded` grows its window without bound. With one extend per entry on
+//! both sides the two should run at parity. A separate `extend_digest`
+//! benchmark prices the raw PCR-style hash-chain step on its own.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use erasmus_core::MeasurementVerdict;
@@ -49,10 +49,9 @@ fn bench_history_extend(c: &mut Criterion) {
         );
     }
 
-    // The baseline the ring replaced: same stream into the unbounded
-    // BTreeMap. There is no capacity axis — the map keeps everything —
-    // but running it at the same stream length makes the per-entry
-    // numbers directly comparable.
+    // The same stream into an unbounded history. There is no capacity
+    // axis — it keeps everything — but running it at the same stream
+    // length makes the per-entry numbers directly comparable.
     group.bench_function("unbounded", |b| {
         b.iter(|| {
             let mut history = DeviceHistory::new(DeviceId::new(1));

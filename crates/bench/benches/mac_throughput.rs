@@ -1,15 +1,19 @@
 //! Raw throughput of the from-scratch MAC implementations (the primitive
 //! behind Figures 6 and 8): bytes per second of SHA-256, HMAC-SHA256 and
 //! keyed BLAKE2s on the host, the re-keyed vs precomputed key-schedule
-//! comparison on measurement-sized inputs, and the scalar vs 4-lane vs
+//! comparison on measurement-sized inputs, the scalar vs 4-lane vs
 //! 8-lane multi-buffer comparison behind the fleet's lane-batched
-//! measurement path.
+//! measurement path, and the verifier's lane-batched tag checks against a
+//! scalar per-measurement loop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use erasmus_core::{CollectionResponse, DeviceId, Measurement, Verifier};
 use erasmus_crypto::{
     Blake2s, Blake2sx4, Blake2sx8, Digest, HmacSha256, MacAlgorithm, MultiDigest, Sha256, Sha256x4,
     Sha256x8,
 };
+use erasmus_hw::DeviceKey;
+use erasmus_sim::{SimDuration, SimTime};
 
 fn bench_mac_throughput(c: &mut Criterion) {
     let key = [0x42u8; 32];
@@ -114,10 +118,50 @@ fn bench_multi_buffer(c: &mut Criterion) {
     group.finish();
 }
 
+/// Verifying one collection response of 1, 4, 8 or 9 HMAC-SHA256
+/// measurements, per measurement: `scalar` checks each tag on its own with
+/// `Measurement::verify_keyed` (tag checks only); `lanes` is the whole of
+/// `Verifier::verify_collection` (tag checks eight lanes at a time, the
+/// verdict rules and the report), so its margin over `scalar` is a floor.
+/// At 1 and 9 the lane path pays for seven idle lanes.
+fn bench_verify_evidence(c: &mut Criterion) {
+    let key = DeviceKey::from_bytes([0x42u8; 32]);
+    let alg = MacAlgorithm::HmacSha256;
+    let keyed = alg.with_key(key.as_bytes());
+    let now = SimTime::from_secs(1_000);
+    let mut group = c.benchmark_group("verify_evidence");
+    for count in [1usize, 4, 8, 9] {
+        let response = CollectionResponse {
+            device: DeviceId::new(1),
+            measurements: (0..count as u64)
+                .map(|slot| {
+                    let at = now - SimDuration::from_secs(10 * slot);
+                    Measurement::from_digest_keyed(&keyed, at, [slot as u8; 32])
+                })
+                .collect(),
+            prover_time: SimDuration::ZERO,
+        };
+        group.throughput(Throughput::Elements(count as u64));
+        group.bench_with_input(BenchmarkId::new("scalar", count), &response, |b, r| {
+            b.iter(|| {
+                for measurement in &r.measurements {
+                    std::hint::black_box(measurement.verify_keyed(&keyed));
+                }
+            })
+        });
+        let mut verifier = Verifier::new(key.clone(), alg);
+        group.bench_with_input(BenchmarkId::new("lanes", count), &response, |b, r| {
+            b.iter(|| std::hint::black_box(verifier.verify_collection(r, now)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_mac_throughput,
     bench_key_schedule,
-    bench_multi_buffer
+    bench_multi_buffer,
+    bench_verify_evidence
 );
 criterion_main!(benches);

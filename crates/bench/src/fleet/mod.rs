@@ -690,10 +690,11 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
     let history_resident = hub.total_resident();
     let aggregation = AggregationReport::from_hub(&hub);
     // Informational estimate of the merged hub's resident footprint: the
-    // fixed per-device struct plus the retained window entries. Ring mode
-    // keeps this O(devices × capacity) no matter how long the run was.
+    // fixed per-device struct plus the retained window entries, each with
+    // its 32-byte running digest. Ring mode keeps this O(devices ×
+    // capacity) no matter how long the run was.
     let resident_state_bytes = hub.len() as u64 * std::mem::size_of::<DeviceHistory>() as u64
-        + history_resident * std::mem::size_of::<HistoryEntry>() as u64;
+        + history_resident * (std::mem::size_of::<HistoryEntry>() + 32) as u64;
 
     FleetReport {
         config: config.clone(),

@@ -63,7 +63,9 @@ use std::fmt;
 use erasmus_crypto::{MacTag, MAX_TAG_LEN};
 use erasmus_sim::{SimDuration, SimTime};
 
-use crate::history::{extend_digest, DeviceHistory, HistoryEntry, HistoryMode, HistoryRollup};
+use crate::history::{
+    extend_digest, DeviceHistory, HistoryEntry, HistoryMode, HistoryRollup, Resident,
+};
 use crate::hub::{FlowWindow, VerifierHub};
 use crate::ids::DeviceId;
 use crate::measurement::{Measurement, MemoryDigest, DIGEST_LEN};
@@ -768,7 +770,7 @@ pub fn encode_hub_snapshot_into(out: &mut Vec<u8>, hub: &VerifierHub) {
             out.extend_from_slice(&first.to_be_bytes());
         }
         out.extend_from_slice(&history.chain);
-        out.extend_from_slice(&history.head);
+        out.extend_from_slice(history.head_digest());
         // analyzer: allow(checked-casts) — the resident window is bounded by the ring capacity (u32 on the wire)
         out.extend_from_slice(&(history.resident_len() as u32).to_be_bytes());
         for entry in history.entries() {
@@ -1033,14 +1035,17 @@ pub fn decode_hub_snapshot(bytes: &[u8]) -> Result<VerifierHub, DecodeError> {
                 )
             })?;
             folded = extend_digest(&folded, timestamp, tag, collected_at);
-            ring.push_back(HistoryEntry {
-                timestamp: SimTime::from_nanos(timestamp),
-                verdict,
-                collected_at: SimTime::from_nanos(collected_at),
+            ring.push_back(Resident {
+                entry: HistoryEntry {
+                    timestamp: SimTime::from_nanos(timestamp),
+                    verdict,
+                    collected_at: SimTime::from_nanos(collected_at),
+                },
+                running: folded,
             });
         }
         if let (Some(first), Some(front)) = (first_timestamp, ring.front()) {
-            if first > front.timestamp {
+            if first > front.entry.timestamp {
                 return Err(DecodeError::new(
                     DecodeErrorKind::BatchCount,
                     "snapshot first timestamp is later than its oldest retained entry".to_string(),
@@ -1070,7 +1075,6 @@ pub fn decode_hub_snapshot(bytes: &[u8]) -> Result<VerifierHub, DecodeError> {
                 mode,
                 ring,
                 chain,
-                head,
                 collections,
                 rollup: HistoryRollup {
                     entries,

@@ -19,10 +19,16 @@
 //! The chain is split in two: [`DeviceHistory::chain_digest`] covers the
 //! sealed prefix (entries already evicted from the ring, folded in eviction
 //! order) and [`DeviceHistory::head_digest`] covers the whole timeline.
-//! Evicting an entry moves it from the resident window into the sealed
-//! prefix without changing the head — the invariant
-//! `head == fold(chain, resident entries)` holds at all times and is
-//! checked by [`DeviceHistory::verify_chain`].
+//! Each resident entry carries the running digest of the timeline up to
+//! and including it, `running[i] == fold(chain, ring[..=i])`, and the head
+//! is the newest running digest (the chain itself when the ring is empty).
+//! So every entry is hashed exactly once: an in-order arrival is one
+//! extend, and an eviction hashes nothing — by the PCR extend property the
+//! evicted entry's running digest *is* the new sealed chain, bit-identical
+//! to extending the old chain by it. Out-of-order inserts and verdict
+//! downgrades re-fold from the changed entry onwards.
+//! [`DeviceHistory::verify_chain`] re-derives every running digest from
+//! the chain.
 //!
 //! [`HistoryMode::Unbounded`] retains every entry (the pre-compaction
 //! behaviour, still the default for [`DeviceHistory::new`]);
@@ -114,6 +120,14 @@ fn extend_with_entry(prev: &[u8; 32], entry: &HistoryEntry) -> [u8; 32] {
     )
 }
 
+/// One slot of the resident window: an entry and the running digest of the
+/// timeline up to and including it, `fold(chain, ring[..=i])`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Resident {
+    pub(crate) entry: HistoryEntry,
+    pub(crate) running: [u8; 32],
+}
+
 /// Lifetime tallies that survive ring eviction. Every field is monotone
 /// under ingestion, which keeps the rollup order-independent where the
 /// resident window cannot be.
@@ -187,14 +201,13 @@ impl HistoryRollup {
 pub struct DeviceHistory {
     pub(crate) device: DeviceId,
     pub(crate) mode: HistoryMode,
-    /// Resident window, strictly ascending by timestamp.
-    pub(crate) ring: VecDeque<HistoryEntry>,
+    /// Resident window, strictly ascending by timestamp, each entry with
+    /// its running digest. In ring mode the allocation never exceeds the
+    /// capacity: a full ring evicts before it inserts.
+    pub(crate) ring: VecDeque<Resident>,
     /// Digest of the sealed (evicted) prefix, folded in eviction order.
     /// All-zero until the first eviction.
     pub(crate) chain: [u8; 32],
-    /// Digest of the entire timeline: the sealed prefix extended by every
-    /// resident entry in timestamp order.
-    pub(crate) head: [u8; 32],
     pub(crate) collections: u64,
     pub(crate) rollup: HistoryRollup,
 }
@@ -218,7 +231,6 @@ impl DeviceHistory {
             mode,
             ring: VecDeque::new(),
             chain: [0u8; 32],
-            head: [0u8; 32],
             collections: 0,
             rollup: HistoryRollup::default(),
         }
@@ -277,21 +289,45 @@ impl DeviceHistory {
     /// resident entry. This is the device's PCR — it authenticates the
     /// full history in 32 bytes and is invariant under eviction.
     pub fn head_digest(&self) -> &[u8; 32] {
-        &self.head
+        self.ring
+            .back()
+            .map_or(&self.chain, |resident| &resident.running)
     }
 
-    /// Recomputes the head from the sealed chain and the resident window
-    /// and checks it against the stored head. O(resident entries).
+    /// Re-derives every running digest from the sealed chain and the
+    /// resident window and checks each against the stored one, so a
+    /// corrupted record anywhere in the window is caught. O(resident
+    /// entries).
     pub fn verify_chain(&self) -> bool {
-        self.fold_resident() == self.head
+        let mut digest = self.chain;
+        self.ring.iter().all(|resident| {
+            digest = extend_with_entry(&digest, &resident.entry);
+            digest == resident.running
+        })
     }
 
-    fn fold_resident(&self) -> [u8; 32] {
-        let mut digest = self.chain;
-        for entry in &self.ring {
-            digest = extend_with_entry(&digest, entry);
+    /// Re-derives the running digests from `index` to the newest entry.
+    fn refold_from(&mut self, index: usize) {
+        let mut digest = match index.checked_sub(1) {
+            Some(previous) => self.ring[previous].running,
+            None => self.chain,
+        };
+        for resident in self.ring.range_mut(index..) {
+            digest = extend_with_entry(&digest, &resident.entry);
+            resident.running = digest;
         }
-        digest
+    }
+
+    /// Makes room for one more resident entry in a ring that is not full.
+    /// Grows like `VecDeque` would, but never past the capacity, so a ring
+    /// of K entries ends up allocated at exactly K slots.
+    fn reserve_slot(&mut self) {
+        if let HistoryMode::Ring(capacity) = self.mode {
+            let len = self.ring.len();
+            if len == self.ring.capacity() {
+                self.ring.reserve_exact(len.max(4).min(capacity - len));
+            }
+        }
     }
 
     /// Folds a collection report into the history.
@@ -337,24 +373,30 @@ impl DeviceHistory {
     /// alarming; a fresh timestamp extends the hash chain; in ring mode a
     /// timestamp older than an already-evicted window is counted as a stale
     /// discard and dropped.
+    ///
+    /// Each change costs one chain extend per running digest it moves: an
+    /// in-order arrival extends once, an eviction costs nothing (the
+    /// evicted entry's running digest *is* the new sealed chain), and an
+    /// out-of-order insert or a downgrade re-folds from the changed entry.
     pub fn observe(&mut self, entry: HistoryEntry) {
         match self
             .ring
-            .binary_search_by_key(&entry.timestamp, |resident| resident.timestamp)
+            .binary_search_by_key(&entry.timestamp, |resident| resident.entry.timestamp)
         {
             Ok(index) => {
-                let old = self.ring[index].verdict;
+                let resident = &mut self.ring[index].entry;
+                let old = resident.verdict;
                 if severity(entry.verdict) > severity(old) {
-                    self.ring[index].verdict = entry.verdict;
-                    self.ring[index].collected_at = entry.collected_at;
+                    resident.verdict = entry.verdict;
+                    resident.collected_at = entry.collected_at;
                     *self.rollup.verdict_count_mut(old) -= 1;
                     *self.rollup.verdict_count_mut(entry.verdict) += 1;
                     self.rollup
                         .note_compromise(entry.timestamp, entry.collected_at);
-                    self.head = self.fold_resident();
+                    self.refold_from(index);
                 }
             }
-            Err(index) => {
+            Err(mut index) => {
                 if index == 0 && self.rollup.evictions > 0 && !self.ring.is_empty() {
                     // Ring mode, and the entry predates the retained
                     // window: the chain has already sealed past it.
@@ -371,21 +413,31 @@ impl DeviceHistory {
                     self.rollup
                         .note_compromise(entry.timestamp, entry.collected_at);
                 }
-                if index == self.ring.len() {
-                    // Fast path: in-order arrival is a pure PCR extend.
-                    self.head = extend_with_entry(&self.head, &entry);
-                    self.ring.push_back(entry);
-                } else {
-                    self.ring.insert(index, entry);
-                    self.head = self.fold_resident();
-                }
-                if let HistoryMode::Ring(capacity) = self.mode {
-                    while self.ring.len() > capacity {
-                        let evicted = self.ring.pop_front().expect("len > capacity >= 1");
-                        self.chain = extend_with_entry(&self.chain, &evicted);
-                        self.rollup.evictions += 1;
+                if self.mode.capacity() == Some(self.ring.len()) {
+                    // A full ring evicts its oldest entry before inserting.
+                    self.rollup.evictions += 1;
+                    if index == 0 {
+                        // The arrival is older than every resident entry
+                        // (possible only before the first eviction): it is
+                        // the one sealed, and every running digest moves.
+                        self.chain = extend_with_entry(&self.chain, &entry);
+                        self.refold_from(0);
+                        return;
                     }
+                    let evicted = self.ring.pop_front().expect("a full ring is non-empty");
+                    self.chain = evicted.running;
+                    index -= 1;
+                } else {
+                    self.reserve_slot();
                 }
+                self.ring.insert(
+                    index,
+                    Resident {
+                        entry,
+                        running: [0u8; 32],
+                    },
+                );
+                self.refold_from(index);
             }
         }
     }
@@ -425,15 +477,15 @@ impl DeviceHistory {
         ) {
             self.rollup.note_compromise(at, detected);
         }
-        for entry in other.ring.iter().cloned() {
-            self.observe(entry);
+        for entry in other.entries() {
+            self.observe(entry.clone());
         }
         true
     }
 
     /// Resident entries in timestamp order.
     pub fn entries(&self) -> impl Iterator<Item = &HistoryEntry> {
-        self.ring.iter()
+        self.ring.iter().map(|resident| &resident.entry)
     }
 
     /// Timestamp of the earliest measurement ever recorded (survives
@@ -444,7 +496,7 @@ impl DeviceHistory {
 
     /// Timestamp of the most recent measurement recorded.
     pub fn last_timestamp(&self) -> Option<SimTime> {
-        self.ring.back().map(|entry| entry.timestamp)
+        self.ring.back().map(|resident| resident.entry.timestamp)
     }
 
     /// The timestamp of the earliest measurement showing compromise or
@@ -479,7 +531,7 @@ impl DeviceHistory {
     /// Collapses the resident window into contiguous spans of equal
     /// verdict. Allocation-free: spans are produced lazily off the ring.
     pub fn spans(&self) -> impl Iterator<Item = HistorySpan> + '_ {
-        let mut entries = self.ring.iter().peekable();
+        let mut entries = self.entries().peekable();
         std::iter::from_fn(move || {
             let first = entries.next()?;
             let mut span = HistorySpan {
@@ -504,9 +556,8 @@ impl DeviceHistory {
     /// at least two are retained. Large gaps relative to `T_M` point at
     /// deleted evidence or an undersized buffer. Allocation-free.
     pub fn largest_gap(&self) -> Option<SimDuration> {
-        self.ring
-            .iter()
-            .zip(self.ring.iter().skip(1))
+        self.entries()
+            .zip(self.entries().skip(1))
             .map(|(earlier, later)| later.timestamp.duration_since(earlier.timestamp))
             .max()
     }
@@ -793,6 +844,54 @@ mod tests {
         assert_eq!(in_order, shuffled, "same set, same compact state");
         assert!(shuffled.verify_chain());
         assert_eq!(in_order.head_digest(), shuffled.head_digest());
+    }
+
+    proptest::proptest! {
+        /// A corrupted running digest anywhere in the window, or a
+        /// corrupted sealed chain under a non-empty window, fails
+        /// `verify_chain`.
+        #[test]
+        fn verify_chain_catches_any_corrupted_digest(
+            arrivals in proptest::collection::vec((0u64..64, 0u8..3), 1..48),
+            capacity_selector in 0usize..3,
+            byte in 0usize..32,
+        ) {
+            let capacity = [1, 4, 8][capacity_selector];
+            let mut history =
+                DeviceHistory::with_mode(DeviceId::new(8), HistoryMode::Ring(capacity));
+            for (secs, verdict) in arrivals {
+                history.observe(HistoryEntry {
+                    verdict: [
+                        MeasurementVerdict::Healthy,
+                        MeasurementVerdict::Compromised,
+                        MeasurementVerdict::Forged,
+                    ][usize::from(verdict)],
+                    ..healthy_at(secs)
+                });
+            }
+            proptest::prop_assert!(history.verify_chain());
+            for index in 0..history.resident_len() {
+                let mut corrupted = history.clone();
+                corrupted.ring[index].running[byte] ^= 1;
+                proptest::prop_assert!(!corrupted.verify_chain(), "running digest {index}");
+            }
+            let mut corrupted = history.clone();
+            corrupted.chain[byte] ^= 1;
+            proptest::prop_assert!(!corrupted.verify_chain(), "sealed chain");
+        }
+    }
+
+    #[test]
+    fn full_ring_never_allocates_past_its_capacity() {
+        for capacity in [1, 3, 4, 5, 8, 64] {
+            let mut history =
+                DeviceHistory::with_mode(DeviceId::new(2), HistoryMode::Ring(capacity));
+            for secs in 1..=3 * capacity as u64 {
+                history.observe(healthy_at(10 * secs));
+            }
+            assert_eq!(history.resident_len(), capacity);
+            assert_eq!(history.ring.capacity(), capacity, "K = {capacity}");
+        }
     }
 
     #[test]

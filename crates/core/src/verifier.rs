@@ -1,67 +1,22 @@
 //! The verifier: collects measurements and reconstructs the prover's state
 //! history.
 
-use erasmus_crypto::{KeyedMac, MacAlgorithm, MacTag};
+use erasmus_crypto::{KeyedMac, MacAlgorithm, MultiKeyedMac};
 use erasmus_hw::DeviceKey;
 use erasmus_sim::{SimDuration, SimTime};
 
-use crate::encoding::{MeasurementView, ResponseView};
+use crate::encoding::ResponseView;
 use crate::error::Error;
 use crate::ids::DeviceId;
-use crate::measurement::{Measurement, MemoryDigest};
+use crate::measurement::{Measurement, MemoryDigest, MAC_INPUT_LEN};
 use crate::protocol::{CollectionRequest, CollectionResponse, OnDemandRequest, OnDemandResponse};
 use crate::report::{
     AttestationVerdict, CollectionReport, MeasurementVerdict, VerifiedMeasurement,
 };
 
-/// One piece of collection evidence, independent of whether it is owned
-/// (struct path) or borrowed straight out of a wire frame (view path).
-///
-/// Both `Verifier` entry points funnel into one generic verification loop
-/// over this trait, so the struct and frame paths are bit-identical by
-/// construction — the property the wire-vs-struct determinism tests pin.
-trait Evidence {
-    fn timestamp(&self) -> SimTime;
-    fn digest(&self) -> &MemoryDigest;
-    fn tag(&self) -> MacTag;
-    fn materialize(&self) -> Measurement;
-}
-
-impl Evidence for &Measurement {
-    fn timestamp(&self) -> SimTime {
-        Measurement::timestamp(self)
-    }
-
-    fn digest(&self) -> &MemoryDigest {
-        Measurement::digest(self)
-    }
-
-    fn tag(&self) -> MacTag {
-        *Measurement::tag(self)
-    }
-
-    fn materialize(&self) -> Measurement {
-        (*self).clone()
-    }
-}
-
-impl Evidence for MeasurementView<'_> {
-    fn timestamp(&self) -> SimTime {
-        MeasurementView::timestamp(self)
-    }
-
-    fn digest(&self) -> &MemoryDigest {
-        MeasurementView::digest(self)
-    }
-
-    fn tag(&self) -> MacTag {
-        MacTag::new(MeasurementView::tag(self))
-    }
-
-    fn materialize(&self) -> Measurement {
-        self.to_measurement()
-    }
-}
+/// Tags of one response are checked this many at a time, in lockstep
+/// through a [`MultiKeyedMac`].
+const VERIFY_LANES: usize = 8;
 
 /// The (possibly untrusted-network-facing, but key-holding) verifier.
 ///
@@ -177,23 +132,21 @@ impl Verifier {
         OnDemandRequest::new_keyed(&self.keyed, treq, k)
     }
 
-    /// MAC and reference-digest verdict for one piece of evidence. The MAC
-    /// input is rebuilt on the stack, so borrowed frame slices verify
-    /// without materializing a [`Measurement`].
-    fn verdict_for_parts(
+    /// Verdict for one measurement whose tag check came out `tag_ok`: a bad
+    /// tag or a timestamp in the verifier's future (which only a tampered
+    /// store or clock can produce) is a forgery; an authentic measurement
+    /// of anything but the reference image is a compromise.
+    fn verdict_for(
         &self,
-        timestamp: SimTime,
-        digest: &MemoryDigest,
-        tag: &MacTag,
+        measurement: &Measurement,
+        tag_ok: bool,
+        now: SimTime,
     ) -> MeasurementVerdict {
-        if !self
-            .keyed
-            .verify(&Measurement::mac_input(timestamp, digest), tag)
-        {
+        if !tag_ok || measurement.timestamp() > now {
             return MeasurementVerdict::Forged;
         }
         match &self.reference_digest {
-            Some(reference) if digest != reference => MeasurementVerdict::Compromised,
+            Some(reference) if measurement.digest() != reference => MeasurementVerdict::Compromised,
             _ => MeasurementVerdict::Healthy,
         }
     }
@@ -227,16 +180,15 @@ impl Verifier {
         response: &CollectionResponse,
         now: SimTime,
     ) -> Result<CollectionReport, Error> {
-        self.verify_evidence(response.device, response.measurements.iter(), now)
+        self.verify_evidence(response.device, response.measurements.iter().cloned(), now)
     }
 
     /// Verifies one response record straight off a validated wire frame —
     /// the zero-copy half of [`crate::VerifierHub::ingest_frame`].
     ///
-    /// MACs are checked against the borrowed digest and tag slices; owned
-    /// measurements are materialized only for the report. The result is
-    /// bit-identical to [`Verifier::verify_collection`] over the decoded
-    /// equivalent: both entry points share one verification loop.
+    /// The result is bit-identical to [`Verifier::verify_collection`] over
+    /// the decoded equivalent: both entry points share one verification
+    /// loop.
     ///
     /// # Errors
     ///
@@ -247,53 +199,59 @@ impl Verifier {
         response: &ResponseView<'_>,
         now: SimTime,
     ) -> Result<CollectionReport, Error> {
-        self.verify_evidence(response.device(), response.measurements(), now)
+        self.verify_evidence(
+            response.device(),
+            response.measurements().map(|view| view.to_measurement()),
+            now,
+        )
     }
 
-    /// The shared verification loop behind [`Verifier::verify_collection`]
-    /// and [`Verifier::verify_frame_response`].
-    fn verify_evidence<E: Evidence>(
+    /// The shared verification loop behind every `verify_*` entry point.
+    ///
+    /// A response's tags are independent, so they are checked
+    /// [`VERIFY_LANES`] at a time. The lane form of the key schedule is
+    /// built once per response on the stack and never stored: kept per
+    /// verifier it would cost ~1.5 KiB per device at fleet scale. A ragged
+    /// last chunk pads its spare lanes with its own last measurement and
+    /// discards their tags.
+    fn verify_evidence(
         &mut self,
         device: DeviceId,
-        items: impl Iterator<Item = E>,
+        items: impl Iterator<Item = Measurement>,
         now: SimTime,
     ) -> Result<CollectionReport, Error> {
-        let mut verified: Vec<VerifiedMeasurement> = Vec::with_capacity(items.size_hint().0);
-        let mut any_forged = false;
-        let mut any_compromised = false;
-        let mut out_of_order = false;
-        let mut previous: Option<SimTime> = None;
-        let mut newest: Option<SimTime> = None;
-
-        for item in items {
-            let timestamp = item.timestamp();
-            let mut verdict = self.verdict_for_parts(timestamp, item.digest(), &item.tag());
-            // Timestamps must not lie in the verifier's future; a "future"
-            // measurement can only come from a tampered store or clock.
-            if timestamp > now {
-                verdict = MeasurementVerdict::Forged;
-            }
-            if let Some(prev) = previous {
-                if timestamp >= prev {
-                    out_of_order = true;
-                }
-            }
-            previous = Some(timestamp);
-            newest = Some(newest.map_or(timestamp, |n| n.max(timestamp)));
-            match verdict {
-                MeasurementVerdict::Forged => any_forged = true,
-                MeasurementVerdict::Compromised => any_compromised = true,
-                MeasurementVerdict::Healthy => {}
-            }
-            verified.push(VerifiedMeasurement {
-                measurement: item.materialize(),
-                verdict,
-            });
-        }
-
+        let mut verified: Vec<VerifiedMeasurement> = items
+            .map(|measurement| VerifiedMeasurement {
+                measurement,
+                verdict: MeasurementVerdict::Healthy,
+            })
+            .collect();
         if verified.is_empty() {
             return Err(Error::NoMeasurements);
         }
+
+        let lanes = MultiKeyedMac::<VERIFY_LANES>::new([&self.keyed; VERIFY_LANES]);
+        for chunk in verified.chunks_mut(VERIFY_LANES) {
+            let last = chunk.len() - 1;
+            let inputs: [[u8; MAC_INPUT_LEN]; VERIFY_LANES] = std::array::from_fn(|lane| {
+                let measurement = &chunk[lane.min(last)].measurement;
+                Measurement::mac_input(measurement.timestamp(), measurement.digest())
+            });
+            let tags = lanes.mac(std::array::from_fn(|lane| &inputs[lane][..]));
+            for (vm, tag) in chunk.iter_mut().zip(&tags) {
+                let tag_ok = tag.ct_eq(vm.measurement.tag());
+                vm.verdict = self.verdict_for(&vm.measurement, tag_ok, now);
+            }
+        }
+
+        // Responses are newest-first: any timestamp not strictly below its
+        // predecessor means the store was reordered or replayed into.
+        let out_of_order = verified
+            .windows(2)
+            .any(|pair| pair[1].measurement.timestamp() >= pair[0].measurement.timestamp());
+        let any = |verdict| verified.iter().any(|vm| vm.verdict == verdict);
+        let any_forged = any(MeasurementVerdict::Forged);
+        let any_compromised = any(MeasurementVerdict::Compromised);
 
         // Coverage check: did we receive as many measurements as the schedule
         // should have produced since the last collection?
@@ -316,9 +274,13 @@ impl Verifier {
             AttestationVerdict::AllHealthy
         };
 
-        let freshness = newest
-            .map(|t| now.saturating_duration_since(t))
-            .unwrap_or(SimDuration::ZERO);
+        let freshness = verified
+            .iter()
+            .map(|vm| vm.measurement.timestamp())
+            .max()
+            .map_or(SimDuration::ZERO, |newest| {
+                now.saturating_duration_since(newest)
+            });
 
         self.last_collection = Some(now);
         Ok(CollectionReport::new(
@@ -327,8 +289,8 @@ impl Verifier {
     }
 
     /// Verifies an ERASMUS+OD response (Figure 4, verifier side): the fresh
-    /// measurement `M_0` is checked first, then the history is verified like
-    /// a normal collection.
+    /// measurement `M_0` is checked first, then it and the history are
+    /// verified together like a normal collection.
     ///
     /// # Errors
     ///
@@ -350,17 +312,8 @@ impl Verifier {
                 reason: "fresh measurement predates the request".to_owned(),
             });
         }
-
-        // Verify the history exactly like a plain collection, then fold the
-        // fresh measurement into the report.
-        let mut measurements = vec![response.fresh.clone()];
-        measurements.extend(response.history.iter().cloned());
-        let as_collection = CollectionResponse {
-            device: response.device,
-            measurements,
-            prover_time: response.prover_time,
-        };
-        self.verify_collection(&as_collection, now)
+        let measurements = std::iter::once(&response.fresh).chain(&response.history);
+        self.verify_evidence(response.device, measurements.cloned(), now)
     }
 }
 
@@ -571,6 +524,48 @@ mod tests {
         // Maximal freshness: the fresh measurement was taken at collection time.
         assert_eq!(report.freshness(), SimDuration::ZERO);
         assert_eq!(report.measurements().len(), 3);
+    }
+
+    #[test]
+    fn on_demand_report_equals_a_collection_of_fresh_then_history() {
+        let (mut prover, mut verifier) = setup();
+        verifier.learn_reference_image(prover.mcu().app_memory());
+        prover
+            .run_until(SimTime::from_secs(95))
+            .expect("measurements");
+        // A forged history entry, so the report carries more than one verdict.
+        let slot = prover.buffer().slot_for(SimTime::from_secs(50));
+        prover.buffer_mut().tamper_replace(
+            slot,
+            Measurement::from_parts(
+                SimTime::from_secs(50),
+                [0u8; 32],
+                erasmus_crypto::MacTag::new(vec![0u8; 32]),
+            ),
+        );
+        let request = verifier.make_on_demand_request(9, SimTime::from_secs(96));
+        let response = prover
+            .handle_on_demand(&request, SimTime::from_secs(96))
+            .expect("response");
+        let mut as_collection = verifier.clone();
+
+        let report = verifier
+            .verify_on_demand(&request, &response, SimTime::from_secs(96))
+            .expect("report");
+        let mut measurements = vec![response.fresh.clone()];
+        measurements.extend(response.history.iter().cloned());
+        let collection = CollectionResponse {
+            device: response.device,
+            measurements,
+            prover_time: response.prover_time,
+        };
+        let expected = as_collection
+            .verify_collection(&collection, SimTime::from_secs(96))
+            .expect("report");
+        assert_eq!(report, expected);
+        assert_eq!(report.measurements().len(), 1 + response.history.len());
+        assert_eq!(report.with_verdict(MeasurementVerdict::Forged).count(), 1);
+        assert_eq!(verifier.last_collection(), as_collection.last_collection());
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! follows `queue_equivalence.rs` in the sim crate: generate arbitrary
 //! workloads, drive implementation and oracle side by side.
 
-use erasmus_core::{DeviceHistory, DeviceId, HistoryEntry, HistoryMode, MeasurementVerdict};
+use erasmus_core::{
+    decode_hub_snapshot, encode_hub_snapshot, extend_digest, DeviceHistory, DeviceId, HistoryEntry,
+    HistoryMode, MeasurementVerdict, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+};
 use erasmus_sim::SimTime;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -45,6 +48,115 @@ fn arb_timeline() -> impl Strategy<Value = Vec<HistoryEntry>> {
 
 fn lifetime_verdicts(history: &DeviceHistory) -> usize {
     VERDICTS.iter().map(|v| history.count(*v)).sum()
+}
+
+fn fold(prev: &[u8; 32], entries: &[HistoryEntry]) -> [u8; 32] {
+    entries.iter().fold(*prev, |digest, e| {
+        extend_digest(
+            &digest,
+            e.timestamp.as_nanos(),
+            rank(e.verdict),
+            e.collected_at.as_nanos(),
+        )
+    })
+}
+
+/// The ring's window and hash chain as first specified: the head is
+/// re-folded from the sealed chain on demand, and an eviction extends the
+/// chain by the evicted entry. An independent model of what running
+/// digests must reproduce bit for bit.
+struct ChainModel {
+    capacity: usize,
+    ring: Vec<HistoryEntry>,
+    chain: [u8; 32],
+    evictions: u64,
+}
+
+impl ChainModel {
+    fn new(capacity: usize) -> Self {
+        Self {
+            capacity,
+            ring: Vec::new(),
+            chain: [0u8; 32],
+            evictions: 0,
+        }
+    }
+
+    fn observe(&mut self, e: &HistoryEntry) {
+        match self
+            .ring
+            .binary_search_by_key(&e.timestamp, |r| r.timestamp)
+        {
+            Ok(i) => {
+                if rank(e.verdict) > rank(self.ring[i].verdict) {
+                    self.ring[i] = e.clone();
+                }
+            }
+            Err(0) if self.evictions > 0 && !self.ring.is_empty() => {}
+            Err(i) => {
+                self.ring.insert(i, e.clone());
+                if self.ring.len() > self.capacity {
+                    let evicted = self.ring.remove(0);
+                    self.chain = fold(&self.chain, &[evicted]);
+                    self.evictions += 1;
+                }
+            }
+        }
+    }
+
+    fn head(&self) -> [u8; 32] {
+        fold(&self.chain, &self.ring)
+    }
+}
+
+/// A one-device ring-mode hub snapshot (v2 layout, no dedup flows) written
+/// by hand: rollup figures from `history`'s accessors, chain, head and
+/// window from `model`.
+fn model_snapshot(history: &DeviceHistory, model: &ChainModel) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&SNAPSHOT_MAGIC.to_be_bytes());
+    out.push(SNAPSHOT_VERSION);
+    out.push(1); // ring mode
+    out.extend_from_slice(&(model.capacity as u32).to_be_bytes());
+    out.extend_from_slice(&[0u8; 24]); // ingested, rejected, duplicates
+    out.extend_from_slice(&0u32.to_be_bytes()); // flows
+    out.extend_from_slice(&1u32.to_be_bytes()); // devices
+    out.extend_from_slice(&history.device().value().to_be_bytes());
+    let counters = [
+        history.collections(),
+        history.len() as u64,
+        model.evictions,
+        history.stale_discards(),
+        history.count(MeasurementVerdict::Healthy) as u64,
+        history.count(MeasurementVerdict::Compromised) as u64,
+        history.count(MeasurementVerdict::Forged) as u64,
+    ];
+    for counter in counters {
+        out.extend_from_slice(&counter.to_be_bytes());
+    }
+    match history
+        .first_compromise()
+        .zip(history.first_compromise_detected_at())
+    {
+        Some((measured, detected)) => {
+            out.push(1);
+            out.extend_from_slice(&measured.as_nanos().to_be_bytes());
+            out.extend_from_slice(&detected.as_nanos().to_be_bytes());
+        }
+        None => out.push(0),
+    }
+    if let Some(first) = history.first_timestamp() {
+        out.extend_from_slice(&first.as_nanos().to_be_bytes());
+    }
+    out.extend_from_slice(&model.chain);
+    out.extend_from_slice(&model.head());
+    out.extend_from_slice(&(model.ring.len() as u32).to_be_bytes());
+    for e in &model.ring {
+        out.extend_from_slice(&e.timestamp.as_nanos().to_be_bytes());
+        out.extend_from_slice(&e.collected_at.as_nanos().to_be_bytes());
+        out.push(rank(e.verdict));
+    }
+    out
 }
 
 proptest! {
@@ -161,6 +273,53 @@ proptest! {
 
         prop_assert!(left.merge_from(&right));
         prop_assert_eq!(left, sequential);
+    }
+
+    /// Running digests against the chain model, for K in {1, 4, 8}: any
+    /// arrival stream (in order or not, with downgrades and stale
+    /// discards), optionally split across two rings and merged, leaves the
+    /// sealed chain, the head and the window exactly where re-folding puts
+    /// them, and the snapshot is byte for byte the one the model writes.
+    #[test]
+    fn running_digests_match_the_chain_model(
+        entries in arb_timeline(),
+        capacity_selector in 0usize..3,
+        split_selector in 0usize..128,
+    ) {
+        let capacity = [1, 4, 8][capacity_selector];
+        let device = DeviceId::new(11);
+        // A split point inside the stream makes the case a merge.
+        let split = split_selector.min(entries.len());
+        let mut history = DeviceHistory::with_mode(device, HistoryMode::Ring(capacity));
+        let mut model = ChainModel::new(capacity);
+        for e in &entries[..split] {
+            history.observe(e.clone());
+            model.observe(e);
+        }
+        if split < entries.len() {
+            let mut other = DeviceHistory::with_mode(device, HistoryMode::Ring(capacity));
+            let mut other_model = ChainModel::new(capacity);
+            for e in &entries[split..] {
+                other.observe(e.clone());
+                other_model.observe(e);
+            }
+            prop_assert!(history.merge_from(&other));
+            for e in &other_model.ring {
+                model.observe(e);
+            }
+        }
+
+        prop_assert_eq!(history.chain_digest(), &model.chain);
+        prop_assert_eq!(history.head_digest(), &model.head());
+        prop_assert_eq!(history.evictions(), model.evictions);
+        let resident: Vec<HistoryEntry> = history.entries().cloned().collect();
+        prop_assert_eq!(&resident, &model.ring);
+        prop_assert!(history.verify_chain());
+
+        let bytes = model_snapshot(&history, &model);
+        let restored = decode_hub_snapshot(&bytes).expect("the model's snapshot decodes");
+        prop_assert_eq!(restored.history(device), Some(&history));
+        prop_assert_eq!(encode_hub_snapshot(&restored), bytes);
     }
 
     /// Merging two rings with overlapping (or disjoint) retained windows:
