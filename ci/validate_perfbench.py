@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
-"""Validate an `erasmus-perfbench/v8` fleet report.
+"""Validate an `erasmus-perfbench/v9` fleet report.
 
 Usage:
     validate_perfbench.py REPORT.json [--lossless] [--recovered]
                           [--expect-seed N] [--expect-loss P]
-                          [--expect-lanes N] [--expect-delivery MODE]
-                          [--expect-crashes N] [--expect-scheduler BACKEND]
-                          [--expect-history MODE] [--expect-ring-capacity N]
+                          [--expect-lanes N] [--expect-crashes N]
+                          [--expect-ring-capacity N]
 
-Checks the structural invariants every v8 document must satisfy (rates
+Checks the structural invariants every v9 document must satisfy (rates
 positive, per-thread sums consistent, delivered + dropped == attempted,
 the reliability ledger conserved — `unique_accepted + exhausted_retries +
 churn_losses + stale_retries == attempted`, the retry histogram summing
@@ -22,28 +21,27 @@ duplicates) and that the ARQ recovered every attempt anyway; with
 `--expect-loss` it requires that the lossy network actually dropped
 something; with `--expect-lanes` it requires the recorded effective lane
 width and, for widths > 1, at least one multi-lane hash job plus a
-positive lane-speedup probe; with `--expect-delivery` it pins the
-delivery mode (`wire` or `struct`); with `--expect-crashes` it pins the
-per-shard hub crash/restore cycle count and requires snapshot bytes; with
-`--expect-scheduler` it pins the event-queue backend (`calendar` or
-`heap`). v7 added the per-result `scheduler` field and the `events` block
-(cohort coalescing ledger, event-pool high-water, queue counters), which
-must conserve: `coalesced + singleton == scheduled`, and every queue push
-must eventually pop.
+positive lane-speedup probe; with `--expect-crashes` it pins the
+per-shard hub crash/restore cycle count and requires snapshot bytes.
 
-v8 adds the compact verifier history and the aggregation tree: the
-top-level `history`/`ring_capacity` fields, a per-result `history` block
-whose retention ledger must conserve (`evictions + resident == entries`,
-a.k.a. `ring_evictions + ring_resident == entries_ingested`), whose hash
-chains must all verify (`chains_verified == devices_tracked`), and —
-the point of the ring — whose resident state must stay memory-bounded:
-`resident <= devices_tracked * ring_capacity` in ring mode, while
-unbounded mode must report zero evictions and stale discards. The
-per-result `aggregation` block (hierarchical swarm rollup over the hub)
-must cover every tracked device exactly once: `leaves == devices_tracked`,
-`root_entries == history_entries`, and a 64-hex-char root digest whenever
-any device is tracked. `--expect-history` pins the retention mode
-(`ring` or `unbounded`); `--expect-ring-capacity` pins the window size.
+The `events` block (cohort coalescing ledger, event-pool high-water,
+calendar-queue counters) must conserve: `coalesced + singleton ==
+scheduled`, and every queue push must eventually pop.
+
+Verifier history is a per-device ring of `ring_capacity` entries: the
+per-result `history` block's retention ledger must conserve
+(`evictions + resident == entries`), its hash chains must all verify
+(`chains_verified == devices_tracked`), and — the point of the ring — its
+resident state must stay memory-bounded: `resident <= devices_tracked *
+ring_capacity`. The per-result `aggregation` block (hierarchical swarm
+rollup over the hub) must cover every tracked device exactly once:
+`leaves == devices_tracked`, `root_entries == history_entries`, and a
+64-hex-char root digest whenever any device is tracked.
+`--expect-ring-capacity` pins the window size.
+
+v9 dropped the top-level `delivery`, `scheduler` and `history` fields,
+the per-result `delivery` and `scheduler` fields and `history.mode`: the
+fleet runtime has one path (wire delivery, calendar queue, ring history).
 """
 
 import argparse
@@ -58,28 +56,17 @@ def validate(
     expect_seed,
     expect_loss,
     expect_lanes,
-    expect_delivery,
     expect_crashes,
-    expect_scheduler,
-    expect_history,
     expect_ring_capacity,
 ) -> None:
     with open(path) as fh:
         doc = json.load(fh)
 
-    assert doc["schema"] == "erasmus-perfbench/v8", doc["schema"]
+    assert doc["schema"] == "erasmus-perfbench/v9", doc["schema"]
     assert doc["provers"] >= 1000, doc["provers"]
     assert doc["threads"] >= 2, doc["threads"]
     assert doc["lanes"] >= 1, doc["lanes"]
-    assert doc["delivery"] in ("wire", "struct"), doc["delivery"]
-    assert doc["scheduler"] in ("calendar", "heap"), doc["scheduler"]
-    assert doc["history"] in ("ring", "unbounded"), doc["history"]
-    if doc["history"] == "ring":
-        assert doc["ring_capacity"] >= 1, doc["ring_capacity"]
-    else:
-        assert doc["ring_capacity"] == 0, doc["ring_capacity"]
-    if expect_history is not None:
-        assert doc["history"] == expect_history, (doc["history"], expect_history)
+    assert doc["ring_capacity"] >= 1, doc["ring_capacity"]
     if expect_ring_capacity is not None:
         assert doc["ring_capacity"] == expect_ring_capacity, (
             doc["ring_capacity"],
@@ -90,10 +77,6 @@ def validate(
         assert doc["seed"] == expect_seed, (doc["seed"], expect_seed)
     if expect_lanes is not None:
         assert doc["lanes"] == expect_lanes, (doc["lanes"], expect_lanes)
-    if expect_delivery is not None:
-        assert doc["delivery"] == expect_delivery, (doc["delivery"], expect_delivery)
-    if expect_scheduler is not None:
-        assert doc["scheduler"] == expect_scheduler, (doc["scheduler"], expect_scheduler)
 
     for result in doc["results"]:
         # Non-positive rates mean the sub-resolution clamp regressed.
@@ -106,16 +89,13 @@ def validate(
         if lossless:
             assert result["devices_tracked"] == result["provers"], result
         assert result["seed"] == doc["seed"], result
-        assert result["delivery"] == doc["delivery"], result
-        assert result["scheduler"] == doc["scheduler"], result
 
-        # Compact-history ledger (v8). Lifetime entries are conserved
-        # across eviction (`evictions + resident == entries`), every
-        # device's hash chain must re-verify after the merge, and in ring
-        # mode the resident footprint is the bounded-memory claim itself:
-        # at most `ring_capacity` entries per tracked device.
+        # Compact-history ledger. Lifetime entries are conserved across
+        # eviction (`evictions + resident == entries`), every device's hash
+        # chain must re-verify after the merge, and the resident footprint
+        # is the bounded-memory claim itself: at most `ring_capacity`
+        # entries per tracked device.
         history = result["history"]
-        assert history["mode"] == doc["history"], (history, doc["history"])
         assert history["ring_capacity"] == doc["ring_capacity"], history
         assert (
             history["evictions"] + history["resident"] == result["history_entries"]
@@ -126,25 +106,19 @@ def validate(
         )
         if result["devices_tracked"] > 0:
             assert history["resident_state_bytes"] > 0, history
-        if history["mode"] == "ring":
-            assert (
-                history["resident"]
-                <= result["devices_tracked"] * history["ring_capacity"]
-            ), ("ring resident state exceeds devices * capacity", history)
-            # Coarse absolute ceiling so resident_state_bytes cannot grow
-            # with the entry count: fixed per-device state plus the window.
-            assert history["resident_state_bytes"] <= result["devices_tracked"] * (
-                1024 + 64 * history["ring_capacity"]
-            ), history
-        else:
-            assert history["evictions"] == 0, history
-            assert history["stale_discards"] == 0, history
-            assert history["resident"] == result["history_entries"], history
+        assert (
+            history["resident"] <= result["devices_tracked"] * history["ring_capacity"]
+        ), ("ring resident state exceeds devices * capacity", history)
+        # Coarse absolute ceiling so resident_state_bytes cannot grow with
+        # the entry count: fixed per-device state plus the window.
+        assert history["resident_state_bytes"] <= result["devices_tracked"] * (
+            1024 + 64 * history["ring_capacity"]
+        ), history
         if lossless:
             # In-order delivery never discards a stale (pre-window) entry.
             assert history["stale_discards"] == 0, history
 
-        # Aggregation tree (v8): the hierarchical rollup must cover every
+        # Aggregation tree: the hierarchical rollup must cover every
         # tracked device exactly once — leaves match the hub, the root
         # totals match the flat history ledger, and the root digest is a
         # real 32-byte value whenever anything was aggregated.
@@ -169,7 +143,7 @@ def validate(
                 c in "0123456789abcdef" for c in aggregation["root_digest"]
             ), aggregation
 
-        # Event-runtime ledger (v7). Insertion-time coalescing means one
+        # Event-runtime ledger. Insertion-time coalescing means one
         # queue slot may deliver many same-instant measurements; the ledger
         # must conserve, and — because the queue drains dry before a shard
         # reports — every push must eventually pop. The pool high-water is
@@ -186,12 +160,8 @@ def validate(
         assert events["queue_max_pending"] >= 1, events
         assert events["pool_high_water"] >= 1, events
         assert events["queue_overflow_pushes"] <= events["queue_pushes"], events
-        if doc["scheduler"] == "calendar":
-            assert events["queue_buckets"] > 0, events
-            assert events["queue_bucket_width_nanos"] > 0, events
-        else:
-            assert events["queue_buckets"] == 0, events
-            assert events["queue_bucket_width_nanos"] == 0, events
+        assert events["queue_buckets"] > 0, events
+        assert events["queue_bucket_width_nanos"] > 0, events
         if result["provers"] > result["stagger_groups"]:
             assert events["coalesced"] > 0, (
                 "devices share stagger offsets but nothing coalesced",
@@ -297,11 +267,10 @@ def validate(
             if expect_crashes > 0:
                 assert hub["snapshot_bytes"] > 0, hub
 
-        # Wire accounting. On a wire run every periodic collection crosses
-        # the wire as part of an encoded frame and on-demand reports ride the
-        # struct path, so frame-decoded accepts plus on-demand completions
-        # must conserve the hub's ingestion total exactly. A struct run must
-        # leave every wire counter at zero.
+        # Wire accounting. Every periodic collection crosses the wire as
+        # part of an encoded frame and on-demand reports fold in verified
+        # at arrival, so frame-decoded accepts plus on-demand completions
+        # must conserve the hub's ingestion total exactly.
         wire = result["wire"]
         for key in ("frames", "bytes", "responses", "decoded_accepted", "decode_rejects"):
             assert wire[key] >= 0, (key, wire)
@@ -309,39 +278,19 @@ def validate(
         assert wire["ingest_wall_secs"] >= 0, wire
         assert wire["decode_mib_per_sec"] >= 0, wire
         od_completed = result["on_demand"]["completed"]
-        if result["delivery"] == "wire":
-            assert wire["frames"] >= 1, "wire run encoded no frame"
-            assert wire["bytes"] > 0, wire
-            assert wire["responses"] == delivered, (wire, collections)
-            assert (
-                wire["decoded_accepted"] + od_completed
-                == result["collections_ingested"]
-            ), (wire, result["collections_ingested"], od_completed)
-            assert wire["decode_rejects"] == 0, wire
-            assert wire["decode_mib_per_sec"] > 0, wire
-            if lossless and od_completed == 0:
-                assert wire["decoded_accepted"] == result["collections_ingested"], (
-                    wire,
-                    result["collections_ingested"],
-                )
-        else:
-            for key in ("frames", "bytes", "responses", "decoded_accepted", "decode_rejects"):
-                assert wire[key] == 0, (key, wire)
-            # Struct delivery never crosses the frame link, so every
-            # frame-hop and hub reliability counter must stay at zero
-            # (perfbench rejects the flag combinations up front).
-            for counter in (
-                frame["retransmits"],
-                frame["duplicates_injected"],
-                frame["corrupt_decode"],
-                frame["corrupt_tamper"],
-                frame["exhausted"],
-                frame["lost_responses"],
-                hub["duplicates_dropped"],
-                hub["crashes"],
-                hub["snapshot_bytes"],
-            ):
-                assert counter == 0, reliability
+        assert wire["frames"] >= 1, "run encoded no frame"
+        assert wire["bytes"] > 0, wire
+        assert wire["responses"] == delivered, (wire, collections)
+        assert (
+            wire["decoded_accepted"] + od_completed == result["collections_ingested"]
+        ), (wire, result["collections_ingested"], od_completed)
+        assert wire["decode_rejects"] == 0, wire
+        assert wire["decode_mib_per_sec"] > 0, wire
+        if lossless and od_completed == 0:
+            assert wire["decoded_accepted"] == result["collections_ingested"], (
+                wire,
+                result["collections_ingested"],
+            )
 
         assert result["lanes"] == doc["lanes"], result
         assert result["lane_jobs"] >= 0 and result["lane_remainder"] >= 0, result
@@ -397,13 +346,10 @@ def validate(
         assert point["verifications_per_sec"] > 0, point
         assert point["speedup"] > 0, point
 
-    history_label = doc["history"]
-    if history_label == "ring":
-        history_label = f"ring({doc['ring_capacity']})"
     print(
         f"ok: {path}: {len(doc['results'])} algorithms, {doc['provers']} provers, "
-        f"{doc['threads']} threads, {doc['lanes']} lane(s), {doc['delivery']} delivery, "
-        f"{doc['scheduler']} scheduler, {history_label} history, seed {doc['seed']}, "
+        f"{doc['threads']} threads, {doc['lanes']} lane(s), "
+        f"ring({doc['ring_capacity']}) history, seed {doc['seed']}, "
         f"{len(scaling)} scaling points"
     )
 
@@ -416,14 +362,7 @@ def main() -> int:
     parser.add_argument("--expect-seed", type=int, default=None)
     parser.add_argument("--expect-loss", type=float, default=None)
     parser.add_argument("--expect-lanes", type=int, default=None)
-    parser.add_argument("--expect-delivery", choices=("wire", "struct"), default=None)
     parser.add_argument("--expect-crashes", type=int, default=None)
-    parser.add_argument(
-        "--expect-scheduler", choices=("calendar", "heap"), default=None
-    )
-    parser.add_argument(
-        "--expect-history", choices=("ring", "unbounded"), default=None
-    )
     parser.add_argument("--expect-ring-capacity", type=int, default=None)
     args = parser.parse_args()
     validate(
@@ -433,10 +372,7 @@ def main() -> int:
         args.expect_seed,
         args.expect_loss,
         args.expect_lanes,
-        args.expect_delivery,
         args.expect_crashes,
-        args.expect_scheduler,
-        args.expect_history,
         args.expect_ring_capacity,
     )
     return 0

@@ -1,4 +1,4 @@
-//! Event-queue backend comparison: the calendar queue (rotating wheel of
+//! Event-queue comparison: the calendar queue (rotating wheel of
 //! time buckets) vs the original `BinaryHeap` oracle, at the pending-set
 //! sizes a fleet shard actually holds.
 //!
@@ -10,7 +10,7 @@
 //!   cohort shape the coalescing path produces, where the heap pays
 //!   log(n) per tie and the calendar queue pays for one bucket sort.
 //!
-//! Two operations per (backend, shape, size):
+//! Two operations per (queue, shape, size):
 //!
 //! * **hold** — steady state: one pop + one push per iteration with the
 //!   pending count pinned at N. This is the per-event scheduling cost at
@@ -18,8 +18,10 @@
 //! * **drain** — build the full pending set, then pop it dry: amortized
 //!   cost of a whole shard timeline at that depth.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use erasmus_sim::{EventQueue, Scheduler, SimDuration, SimRng, SimTime};
+use criterion::{
+    criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
+};
+use erasmus_sim::{CalendarQueue, HeapEventQueue, ScheduledEvent, SimDuration, SimRng, SimTime};
 
 /// One wheel revolution is ~17.2 s; keep draws inside it so the uniform
 /// shape exercises the wheel, not the overflow list.
@@ -48,6 +50,99 @@ fn shape_name(bursty: bool) -> &'static str {
     }
 }
 
+/// The push/pop surface both concrete queues share, so one benchmark body
+/// drives each without a runtime dispatch in the measured loop.
+trait Queue {
+    const NAME: &'static str;
+    fn new() -> Self;
+    fn push(&mut self, time: SimTime, payload: u64);
+    fn pop(&mut self) -> Option<ScheduledEvent<u64>>;
+}
+
+impl Queue for CalendarQueue<u64> {
+    const NAME: &'static str = "calendar";
+    fn new() -> Self {
+        CalendarQueue::new()
+    }
+    fn push(&mut self, time: SimTime, payload: u64) {
+        CalendarQueue::push(self, time, payload);
+    }
+    fn pop(&mut self) -> Option<ScheduledEvent<u64>> {
+        CalendarQueue::pop(self)
+    }
+}
+
+impl Queue for HeapEventQueue<u64> {
+    const NAME: &'static str = "heap";
+    fn new() -> Self {
+        HeapEventQueue::new()
+    }
+    fn push(&mut self, time: SimTime, payload: u64) {
+        HeapEventQueue::push(self, time, payload);
+    }
+    fn pop(&mut self) -> Option<ScheduledEvent<u64>> {
+        HeapEventQueue::pop(self)
+    }
+}
+
+/// The `hold/{queue}/{shape}` and `drain/{queue}/{shape}` benchmarks at
+/// depth `count`.
+fn bench_queue<Q: Queue>(
+    group: &mut BenchmarkGroup<'_>,
+    count: usize,
+    bursty: bool,
+    offsets: &[SimDuration],
+) {
+    let id = format!("{}/{}", Q::NAME, shape_name(bursty));
+
+    // Steady-state per-event cost at depth `count`.
+    group.throughput(Throughput::Elements(1));
+    group.bench_with_input(
+        BenchmarkId::new(format!("hold/{id}"), count),
+        offsets,
+        |b, offsets| {
+            let mut queue = Q::new();
+            for (i, &offset) in offsets.iter().enumerate() {
+                queue.push(SimTime::ZERO + offset, i as u64);
+            }
+            let mut cursor = 0usize;
+            b.iter(|| {
+                let event = queue.pop().expect("queue is held at depth N");
+                // Reschedule one revolution out, keeping the shape: the
+                // offset stream replays against the popped event's own
+                // time base.
+                let offset = offsets[cursor % offsets.len()];
+                cursor += 1;
+                queue.push(
+                    event.time + SimDuration::from_nanos(SPAN_NANOS) + offset,
+                    event.payload,
+                );
+                std::hint::black_box(event.sequence)
+            });
+        },
+    );
+
+    // Build-then-drain: N pushes + N pops per iteration.
+    group.throughput(Throughput::Elements(count as u64));
+    group.bench_with_input(
+        BenchmarkId::new(format!("drain/{id}"), count),
+        offsets,
+        |b, offsets| {
+            b.iter(|| {
+                let mut queue = Q::new();
+                for (i, &offset) in offsets.iter().enumerate() {
+                    queue.push(SimTime::ZERO + offset, i as u64);
+                }
+                let mut last = 0u64;
+                while let Some(event) = queue.pop() {
+                    last = event.payload;
+                }
+                std::hint::black_box(last)
+            });
+        },
+    );
+}
+
 fn bench_scheduler(c: &mut Criterion) {
     let mut group = c.benchmark_group("scheduler");
     for &count in &[1_000usize, 100_000, 1_000_000] {
@@ -57,56 +152,8 @@ fn bench_scheduler(c: &mut Criterion) {
         group.sample_size(if count >= 1_000_000 { 10 } else { 50 });
         for bursty in [false, true] {
             let offsets = offsets(count, bursty, 0xca1e_da12 ^ count as u64);
-            for scheduler in [Scheduler::Calendar, Scheduler::Heap] {
-                let id = format!("{scheduler}/{}", shape_name(bursty));
-
-                // Steady-state per-event cost at depth `count`.
-                group.throughput(Throughput::Elements(1));
-                group.bench_with_input(
-                    BenchmarkId::new(format!("hold/{id}"), count),
-                    &offsets,
-                    |b, offsets| {
-                        let mut queue: EventQueue<u64> = EventQueue::with_scheduler(scheduler);
-                        for (i, &offset) in offsets.iter().enumerate() {
-                            queue.push(SimTime::ZERO + offset, i as u64);
-                        }
-                        let mut cursor = 0usize;
-                        b.iter(|| {
-                            let event = queue.pop().expect("queue is held at depth N");
-                            // Reschedule one revolution out, keeping the
-                            // shape: the offset stream replays against the
-                            // popped event's own time base.
-                            let offset = offsets[cursor % offsets.len()];
-                            cursor += 1;
-                            queue.push(
-                                event.time + SimDuration::from_nanos(SPAN_NANOS) + offset,
-                                event.payload,
-                            );
-                            std::hint::black_box(event.sequence)
-                        });
-                    },
-                );
-
-                // Build-then-drain: N pushes + N pops per iteration.
-                group.throughput(Throughput::Elements(count as u64));
-                group.bench_with_input(
-                    BenchmarkId::new(format!("drain/{id}"), count),
-                    &offsets,
-                    |b, offsets| {
-                        b.iter(|| {
-                            let mut queue: EventQueue<u64> = EventQueue::with_scheduler(scheduler);
-                            for (i, &offset) in offsets.iter().enumerate() {
-                                queue.push(SimTime::ZERO + offset, i as u64);
-                            }
-                            let mut last = 0u64;
-                            while let Some(event) = queue.pop() {
-                                last = event.payload;
-                            }
-                            std::hint::black_box(last)
-                        });
-                    },
-                );
-            }
+            bench_queue::<CalendarQueue<u64>>(&mut group, count, bursty, &offsets);
+            bench_queue::<HeapEventQueue<u64>>(&mut group, count, bursty, &offsets);
         }
     }
     group.finish();

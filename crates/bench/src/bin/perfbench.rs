@@ -5,7 +5,7 @@
 //! each driving an event-driven timeline with an optional lossy network,
 //! device churn and on-demand traffic — prints a throughput summary, runs a
 //! 1→N thread-scaling sweep and writes `BENCH_fleet.json` (schema
-//! `erasmus-perfbench/v8`) at the repository root so successive PRs have a
+//! `erasmus-perfbench/v9`) at the repository root so successive runs have a
 //! perf trajectory to compare against.
 //!
 //! Usage:
@@ -15,8 +15,6 @@
 //! perfbench --quick          # CI-sized run (1000 provers per algorithm)
 //! perfbench --threads 4      # shard the fleet over 4 worker threads
 //! perfbench --lanes 4        # batch same-instant measurements 4 lanes wide
-//! perfbench --delivery struct# legacy in-memory delivery (default: wire)
-//! perfbench --scheduler heap # binary-heap oracle (default: calendar)
 //! perfbench --provers 20000  # override the fleet size
 //! perfbench --seed 7         # reseed every deterministic draw
 //! perfbench --loss 0.05      # drop 5% of collection/on-demand packets
@@ -28,54 +26,36 @@
 //! perfbench --retries 3      # ARQ: retransmit drops up to 3 times
 //! perfbench --hub-crash 2    # crash/restore the verifier hub twice
 //! perfbench --on-demand 64   # inject 64 authenticated on-demand requests
-//! perfbench --history unbounded # keep every history entry resident
 //! perfbench --ring-capacity 8   # retained entries per device (default 64)
 //! perfbench --out path.json  # write the JSON somewhere else
 //! ```
 //!
 //! With the default flags (no loss, no latency, no churn, no on-demand) the
 //! event-driven runtime reproduces the lossless phase-loop totals
-//! bit-for-bit; the determinism test suite pins this. Delivery defaults to
-//! `wire`: every collection burst travels as encoded batch frames and is
-//! decoded + verified zero-copy off the bytes; `--delivery struct` keeps
-//! the legacy in-memory path, with bit-identical totals. The fault and
-//! recovery flags (`--duplicate`, `--reorder`, `--corrupt`, `--retries`,
-//! `--hub-crash`) exercise the wire path's ARQ loop, the hub's dedup
-//! window and the snapshot-based crash recovery, so they require wire
-//! delivery; combining them with `--delivery struct` is rejected.
+//! bit-for-bit; the determinism test suite pins this. Every collection
+//! burst travels as encoded batch frames and is decoded + verified
+//! zero-copy off the bytes. The fault and recovery flags (`--duplicate`,
+//! `--reorder`, `--corrupt`, `--retries`, `--hub-crash`) exercise the frame
+//! link's ARQ loop, the hub's dedup window and the snapshot-based crash
+//! recovery. Each shard engine schedules on the O(1) calendar queue.
 //!
-//! `--scheduler` picks the event-queue backend each shard engine runs on:
-//! `calendar` (default) is the O(1) rotating-wheel scheduler, `heap` the
-//! original binary heap, retained as the oracle — totals are bit-identical
-//! under either, which the perf-smoke CI job cross-checks on every push.
-//!
-//! `--history` picks the per-device verifier retention: `ring` (default)
-//! caps every device at `--ring-capacity` resident entries plus a rollup
-//! summary and a PCR-style hash chain over evicted entries — O(capacity)
-//! state per device no matter how long the run — while `unbounded` keeps
-//! everything resident. Lifetime totals are bit-identical between the two
-//! whenever the capacity covers each device's in-flight reordering window;
-//! the perf-smoke CI job cross-checks that too.
+//! Verifier history is a per-device ring: at most `--ring-capacity`
+//! resident entries plus a rollup summary and a PCR-style hash chain over
+//! evicted entries — O(capacity) state per device no matter how long the
+//! run. Lifetime totals do not depend on the capacity as long as it covers
+//! each device's in-flight reordering window.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use erasmus_bench::fleet::{self, scaling, FleetConfig};
-use erasmus_core::HistoryMode;
 use erasmus_crypto::MacAlgorithm;
-use erasmus_sim::{NetworkConfig, Scheduler, SimDuration};
-
-/// Retained entries per device under the default `--history ring`. Large
-/// enough to cover any in-flight reordering window the fault flags can
-/// produce at CI scales, so ring totals stay bit-identical to unbounded.
-const DEFAULT_RING_CAPACITY: usize = 64;
+use erasmus_sim::{NetworkConfig, SimDuration};
 
 struct Options {
     quick: bool,
     threads: usize,
     lanes: usize,
-    wire: bool,
-    scheduler: Scheduler,
     provers: Option<usize>,
     rounds: Option<usize>,
     memory_bytes: Option<usize>,
@@ -89,18 +69,15 @@ struct Options {
     retries: u32,
     hub_crashes: usize,
     on_demand: usize,
-    history_ring: bool,
     ring_capacity: Option<usize>,
     out: Option<PathBuf>,
 }
 
 fn usage() -> &'static str {
-    "usage: perfbench [--quick] [--threads N] [--lanes N] [--delivery wire|struct]\n\
-     \x20                [--scheduler calendar|heap] [--provers N] [--rounds N]\n\
+    "usage: perfbench [--quick] [--threads N] [--lanes N] [--provers N] [--rounds N]\n\
      \x20                [--memory BYTES] [--seed N] [--loss P] [--latency MS] [--churn P]\n\
      \x20                [--duplicate P] [--reorder P] [--corrupt P] [--retries N]\n\
-     \x20                [--hub-crash N] [--on-demand N]\n\
-     \x20                [--history ring|unbounded] [--ring-capacity N] [--out PATH]\n\
+     \x20                [--hub-crash N] [--on-demand N] [--ring-capacity N] [--out PATH]\n\
      \n\
      Drives N simulated provers through scheduled self-measurements and\n\
      periodic collections for each MAC algorithm, sharded over --threads\n\
@@ -111,25 +88,17 @@ fn usage() -> &'static str {
      --memory must be at least 1 byte. --lanes is an upper bound on the\n\
      multi-lane hash width: same-instant measurements batch in lockstep\n\
      groups of the widest supported width (8 or 4) not exceeding it, with\n\
-     totals bit-identical to the scalar path. --delivery picks how\n\
-     collection bursts reach the verifier hub: `wire` (default) encodes\n\
-     them as batch frames and verifies zero-copy off the bytes, `struct`\n\
-     keeps the legacy in-memory path — totals are bit-identical either\n\
-     way. --scheduler picks the shard engines' event-queue backend:\n\
-     `calendar` (default) is the O(1) rotating-wheel scheduler, `heap`\n\
-     the binary-heap oracle — totals are bit-identical under either.\n\
-     --loss, --churn, --duplicate, --reorder and --corrupt are\n\
+     totals bit-identical to the scalar path. Collection bursts reach the\n\
+     verifier hub as encoded batch frames, verified zero-copy off the\n\
+     bytes. --loss, --churn, --duplicate, --reorder and --corrupt are\n\
      probabilities in [0, 1]; --latency is the base link latency in\n\
      milliseconds (jitter is half the base); --seed makes faulty/churn runs\n\
      reproducible and is recorded in the JSON report. --retries bounds the\n\
      ARQ retransmission budget per collection (0 disables retransmission);\n\
      --hub-crash schedules N verifier-hub crash/snapshot-restore cycles\n\
-     per shard. The fault, retry and crash flags exercise the wire frame\n\
-     path, so they reject --delivery struct. --history picks the\n\
-     per-device verifier retention: `ring` (default) keeps at most\n\
-     --ring-capacity entries resident per device (at least 1, default 64)\n\
-     and seals evicted entries into a per-device hash chain; `unbounded`\n\
-     keeps everything and rejects --ring-capacity."
+     per shard. --ring-capacity keeps at most N history entries resident\n\
+     per device (at least 1, default 64) and seals evicted entries into a\n\
+     per-device hash chain."
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -137,8 +106,6 @@ fn parse_args() -> Result<Options, String> {
         quick: false,
         threads: 1,
         lanes: 1,
-        wire: true,
-        scheduler: Scheduler::Calendar,
         provers: None,
         rounds: None,
         memory_bytes: None,
@@ -152,7 +119,6 @@ fn parse_args() -> Result<Options, String> {
         retries: 0,
         hub_crashes: 0,
         on_demand: 0,
-        history_ring: true,
         ring_capacity: None,
         out: None,
     };
@@ -165,22 +131,6 @@ fn parse_args() -> Result<Options, String> {
             "--quick" => options.quick = true,
             "--threads" => options.threads = numeric(value_for("--threads")?, "--threads", 1)?,
             "--lanes" => options.lanes = numeric(value_for("--lanes")?, "--lanes", 1)?,
-            "--delivery" => {
-                options.wire = match value_for("--delivery")?.as_str() {
-                    "wire" => true,
-                    "struct" => false,
-                    other => {
-                        return Err(format!(
-                            "invalid --delivery value `{other}` (expected `wire` or `struct`)"
-                        ));
-                    }
-                };
-            }
-            "--scheduler" => {
-                options.scheduler = value_for("--scheduler")?
-                    .parse::<Scheduler>()
-                    .map_err(|e| format!("invalid --scheduler value: {e}"))?;
-            }
             "--provers" => {
                 options.provers = Some(numeric(value_for("--provers")?, "--provers", 1)?);
             }
@@ -220,17 +170,6 @@ fn parse_args() -> Result<Options, String> {
                     .parse::<usize>()
                     .map_err(|e| format!("invalid --on-demand value: {e}"))?;
             }
-            "--history" => {
-                options.history_ring = match value_for("--history")?.as_str() {
-                    "ring" => true,
-                    "unbounded" => false,
-                    other => {
-                        return Err(format!(
-                            "invalid --history value `{other}` (expected `ring` or `unbounded`)"
-                        ));
-                    }
-                };
-            }
             "--ring-capacity" => {
                 options.ring_capacity = Some(numeric(
                     value_for("--ring-capacity")?,
@@ -246,35 +185,6 @@ fn parse_args() -> Result<Options, String> {
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
         }
-    }
-    if !options.wire {
-        // The fault, ARQ and crash machinery all live on the wire frame
-        // path; silently ignoring them under `--delivery struct` would
-        // report a fault-free run as if it had survived faults.
-        if options.duplicate > 0.0 || options.reorder > 0.0 || options.corrupt > 0.0 {
-            return Err(
-                "--duplicate/--reorder/--corrupt inject faults into wire frames \
-                 and cannot be combined with --delivery struct"
-                    .to_owned(),
-            );
-        }
-        if options.retries > 0 {
-            return Err("--retries drives wire-frame retransmission and cannot be \
-                 combined with --delivery struct"
-                .to_owned());
-        }
-        if options.hub_crashes > 0 {
-            return Err("--hub-crash snapshots the wire-ingest hub and cannot be \
-                 combined with --delivery struct"
-                .to_owned());
-        }
-    }
-    if !options.history_ring && options.ring_capacity.is_some() {
-        // Silently ignoring the capacity would report an unbounded run as
-        // if it had honoured a ring bound.
-        return Err("--ring-capacity sizes the ring history and cannot be \
-             combined with --history unbounded"
-            .to_owned());
     }
     Ok(options)
 }
@@ -342,13 +252,9 @@ fn config_for(options: &Options, algorithm: MacAlgorithm) -> FleetConfig {
     config.hub_crashes = options.hub_crashes;
     config.on_demand = options.on_demand;
     config.lanes = options.lanes;
-    config.wire = options.wire;
-    config.scheduler = options.scheduler;
-    config.history = if options.history_ring {
-        HistoryMode::Ring(options.ring_capacity.unwrap_or(DEFAULT_RING_CAPACITY))
-    } else {
-        HistoryMode::Unbounded
-    };
+    if let Some(ring_capacity) = options.ring_capacity {
+        config.ring_capacity = ring_capacity;
+    }
     config
 }
 
@@ -375,7 +281,7 @@ fn main() -> ExitCode {
             let config = config_for(&options, algorithm);
             eprintln!(
                 "perfbench: {algorithm}: {} provers x {} measurements x {} rounds on {} thread(s) \
-                 x {} lane(s), {} delivery, {} scheduler, {} history (seed {}, loss {}, dup {}, \
+                 x {} lane(s), ring({}) history (seed {}, loss {}, dup {}, \
                  reorder {}, corrupt {}, latency {} ms, churn {}, retries {}, hub-crashes {}, \
                  on-demand {}) ...",
                 config.provers,
@@ -383,12 +289,7 @@ fn main() -> ExitCode {
                 config.rounds,
                 options.threads,
                 fleet::lanes::effective_width(config.lanes),
-                if config.wire { "wire" } else { "struct" },
-                config.scheduler,
-                match config.history {
-                    HistoryMode::Unbounded => "unbounded".to_owned(),
-                    HistoryMode::Ring(capacity) => format!("ring({capacity})"),
-                },
+                config.ring_capacity,
                 config.seed,
                 config.network.loss,
                 config.network.duplicate,
@@ -425,11 +326,11 @@ fn main() -> ExitCode {
             );
         }
         eprintln!(
-            "perfbench: {}: history {}: {} entries ({} resident, {} evicted, {} stale), \
+            "perfbench: {}: history ring({}): {} entries ({} resident, {} evicted, {} stale), \
              {} chains verified, {} bytes resident state; aggregation: {} leaves, {} nodes, \
              depth {}",
             report.config.algorithm,
-            fleet::history_mode_label(report.config.history),
+            report.config.ring_capacity,
             report.history_entries,
             report.history_resident,
             report.history_evictions,

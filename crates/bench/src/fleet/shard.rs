@@ -18,15 +18,12 @@
 //!
 //! Delivered collection responses are verified at their (per-device,
 //! latency-shifted) arrival instants; responses arriving at the same
-//! instant form one burst. Under wire delivery (the default) the burst is
-//! serialized into framed batch buffers — chunked at
-//! [`MAX_BATCH_RESPONSES`] — and folded into the shard's [`VerifierHub`]
-//! straight off the bytes through
+//! instant form one burst. The burst is serialized into framed batch
+//! buffers — chunked at [`MAX_BATCH_RESPONSES`] — and folded into the
+//! shard's [`VerifierHub`] straight off the bytes through
 //! [`VerifierHub::ingest_sequenced_frame`], verifying each record
-//! zero-copy off the frame; with [`FleetConfig::wire`] off, the burst is
-//! verified as in-memory structs and folded through
-//! [`VerifierHub::ingest_batch`]. Both paths produce bit-identical totals
-//! and hub histories.
+//! zero-copy off the frame. On-demand reports, verified when they arrive,
+//! join the same burst and fold in through [`VerifierHub::ingest_batch`].
 //!
 //! # Reliability
 //!
@@ -58,9 +55,8 @@
 //!
 //! The shard is built for event throughput, not just correctness:
 //!
-//! * The engine schedules on the calendar-queue backend by default
-//!   ([`FleetConfig::scheduler`] selects the binary-heap compatibility
-//!   backend, which must produce bit-identical totals).
+//! * The engine schedules on the O(1) calendar queue
+//!   ([`erasmus_sim::CalendarQueue`]).
 //! * Per-device hot state is struct-of-arrays ([`DeviceState`]): schedule
 //!   cursors, epoch tags, horizons and sequence counters live in parallel
 //!   vecs indexed by dense local slot, so cohort due-scans and lane
@@ -85,7 +81,7 @@ use std::time::{Duration, Instant};
 
 use erasmus_core::{
     decode_hub_snapshot, encode_collection_batch_into, encode_hub_snapshot, AttestationVerdict,
-    CollectionReport, CollectionRequest, CollectionResponse, DeviceId, FrameView,
+    CollectionReport, CollectionRequest, CollectionResponse, DeviceId, FrameView, HistoryMode,
     MeasurementVerdict, OnDemandRequest, OnDemandResponse, Prover, ProverConfig, RetryPolicy,
     Verifier, VerifierHub, MAX_BATCH_RESPONSES,
 };
@@ -201,7 +197,6 @@ enum FleetEvent {
     CollectArrive { device: usize },
     /// A collection response reaches the verifier side.
     CollectDeliver {
-        device: usize,
         /// The pooled [`CollectionResponse`].
         slot: SlotId,
         /// How many retransmissions this copy took (0 = first send).
@@ -283,17 +278,15 @@ struct RunState {
     od_completed: u64,
     od_dropped: u64,
     od_latencies: LatencyReservoir,
-    /// Verified reports of the current burst awaiting `ingest_batch` — the
-    /// on-demand leg in wire mode, every delivery in struct mode.
+    /// Verified on-demand reports of the current burst awaiting
+    /// `ingest_batch`.
     pending: Vec<CollectionReport>,
-    /// Raw responses of the current burst awaiting frame encode + ingest
-    /// (wire mode only; empty in struct mode).
+    /// Raw collection responses of the current burst awaiting frame
+    /// encode + ingest.
     pending_responses: Vec<CollectionResponse>,
     pending_at: Option<SimTime>,
     batches: u64,
     largest_batch: u64,
-    /// Wire delivery: serialize bursts and verify off the frames.
-    wire: bool,
     wire_frames: u64,
     wire_bytes: u64,
     wire_responses: u64,
@@ -303,7 +296,7 @@ struct RunState {
     wire_ingest_wall: Duration,
     /// Reusable frame buffer, so steady-state encoding allocates nothing.
     frame_buf: Vec<u8>,
-    /// Per-shard frame-link sequence counter (wire mode).
+    /// Per-shard frame-link sequence counter.
     frame_seq: u64,
     /// Frame-hop retransmissions actually sent.
     frame_retransmits: u64,
@@ -340,13 +333,7 @@ struct RunState {
 }
 
 impl RunState {
-    fn new(
-        strict: bool,
-        wire: bool,
-        seed: u64,
-        policy: RetryPolicy,
-        request: CollectionRequest,
-    ) -> Self {
+    fn new(strict: bool, seed: u64, policy: RetryPolicy, request: CollectionRequest) -> Self {
         let histogram_slots = policy.budget as usize + 1;
         Self {
             request,
@@ -376,7 +363,6 @@ impl RunState {
             pending_at: None,
             batches: 0,
             largest_batch: 0,
-            wire,
             wire_frames: 0,
             wire_bytes: 0,
             wire_responses: 0,
@@ -522,12 +508,11 @@ pub struct ShardReport {
     pub hub_crashes: u64,
     /// Total bytes of the recovery snapshots taken at those crashes.
     pub snapshot_bytes: u64,
-    /// Delivery bursts folded into the shard hub via `ingest_batch`.
+    /// Delivery bursts folded into the shard hub.
     pub hub_batches: u64,
     /// Largest single delivery burst.
     pub largest_batch: u64,
-    /// Encoded collection batch frames this shard ingested (wire mode; 0
-    /// on the struct path).
+    /// Encoded collection batch frames this shard ingested.
     pub wire_frames: u64,
     /// Total bytes of those frames, count headers included.
     pub wire_bytes: u64,
@@ -540,7 +525,7 @@ pub struct ShardReport {
     /// mirrors the fuzz harness's.
     pub wire_decode_rejects: u64,
     /// Wall-clock time spent serializing frames (not part of
-    /// `verify_wall`: the struct path has no encode leg).
+    /// `verify_wall`).
     pub encode_wall: Duration,
     /// Wall-clock time of the frame-ingest spans (decode + verify + hub
     /// fold); included in `verify_wall`.
@@ -730,8 +715,8 @@ impl Shard {
             index,
             base: range.start,
             devices,
-            hub: VerifierHub::with_history(config.history),
-            engine: Engine::with_scheduler(config.scheduler),
+            hub: VerifierHub::with_history(HistoryMode::Ring(config.ring_capacity)),
+            engine: Engine::new(),
             churn,
             on_demand,
             lane_width,
@@ -766,7 +751,6 @@ impl Shard {
             && config.network.base_latency + config.network.jitter < MEASUREMENT_INTERVAL;
         let mut state = RunState::new(
             strict,
-            config.wire,
             config.seed,
             RetryPolicy::with_budget(config.retries),
             CollectionRequest::latest(config.measurements_per_round),
@@ -988,32 +972,17 @@ impl Shard {
                     engine, state, network, device, slot, seq, attempt, epoch, now,
                 );
             }
-            FleetEvent::CollectDeliver {
-                device,
-                slot,
-                attempt,
-            } => {
+            FleetEvent::CollectDeliver { slot, attempt } => {
                 state.collect_delivered += 1;
                 state.retry_histogram[attempt as usize] += 1;
                 let response = state
                     .response_pool
                     .take(slot)
                     .expect("delivered response owns its slot");
-                if state.wire {
-                    // Wire delivery: the response joins the current burst
-                    // as-is; the whole burst is frame-encoded, decoded and
-                    // verified off the bytes when it seals (`flush_batch`).
-                    self.push_response(state, network, now, response);
-                } else {
-                    let started = Instant::now();
-                    let report = self.devices.verifiers[device]
-                        .verify_collection(&response, now)
-                        .expect("fleet collection verifies");
-                    state.verify_wall += started.elapsed();
-                    state.verifications += report.measurements().len() as u64;
-                    state.note_health(&report, true);
-                    self.push_report(state, network, now, report);
-                }
+                // The response joins the current burst as-is; the whole
+                // burst is frame-encoded, decoded and verified off the
+                // bytes when it seals (`flush_batch`).
+                self.push_response(state, network, now, response);
             }
             FleetEvent::OnDemand {
                 device,
@@ -1164,14 +1133,7 @@ impl Shard {
                     latency += extra;
                     state.reorders += 1;
                 }
-                engine.schedule_at(
-                    now + latency,
-                    FleetEvent::CollectDeliver {
-                        device,
-                        slot,
-                        attempt,
-                    },
-                );
+                engine.schedule_at(now + latency, FleetEvent::CollectDeliver { slot, attempt });
             }
             Delivery::Dropped => {
                 if state.policy.allows_retry(attempt) {
@@ -1323,8 +1285,8 @@ impl Shard {
         }
     }
 
-    /// Buffers a verified report into the current delivery burst; a new
-    /// arrival instant seals the previous burst into the hub.
+    /// Buffers a verified on-demand report into the current delivery burst;
+    /// a new arrival instant seals the previous burst into the hub.
     fn push_report(
         &mut self,
         state: &mut RunState,
@@ -1339,10 +1301,10 @@ impl Shard {
         state.pending.push(report);
     }
 
-    /// Buffers a raw collection response into the current delivery burst
-    /// (wire mode), under the same sealing rule as [`Shard::push_report`]:
-    /// mixed bursts — frame-bound collections plus struct-path on-demand
-    /// reports landing at the same instant — seal and flush together.
+    /// Buffers a raw collection response into the current delivery burst,
+    /// under the same sealing rule as [`Shard::push_report`]: mixed bursts —
+    /// frame-bound collections plus on-demand reports landing at the same
+    /// instant — seal and flush together.
     fn push_response(
         &mut self,
         state: &mut RunState,
@@ -1359,19 +1321,16 @@ impl Shard {
 
     /// Seals the buffered burst into the shard hub.
     ///
-    /// Wire mode first: the burst's raw responses are serialized into
-    /// framed batch buffers — chunked at [`MAX_BATCH_RESPONSES`], since a
-    /// single-group stagger can put a whole shard into one instant — and
-    /// carried across the frame link by [`Shard::deliver_frame`]'s ARQ
-    /// loop, which verifies each record zero-copy off the frame, at the
-    /// burst's arrival instant, by the device's own verifier. Any
-    /// already-verified struct reports (the on-demand leg, or everything
-    /// in struct mode) then fold in via `ingest_batch`. A mixed burst
-    /// still counts as *one* batch with its combined size, so burst
-    /// accounting is bit-identical across delivery modes. Encoding is
-    /// timed separately (`encode_wall`); the ingest span lands in both
-    /// `wire_ingest_wall` and `verify_wall`, which is where the struct
-    /// path's verification time lives.
+    /// The burst's raw responses are serialized into framed batch buffers —
+    /// chunked at [`MAX_BATCH_RESPONSES`], since a single-group stagger can
+    /// put a whole shard into one instant — and carried across the frame
+    /// link by [`Shard::deliver_frame`]'s ARQ loop, which verifies each
+    /// record zero-copy off the frame, at the burst's arrival instant, by
+    /// the device's own verifier. The already-verified on-demand reports
+    /// then fold in via `ingest_batch`. A mixed burst counts as *one* batch
+    /// with its combined size. Encoding is timed separately
+    /// (`encode_wall`); the ingest span lands in both `wire_ingest_wall`
+    /// and `verify_wall`.
     fn flush_batch(&mut self, state: &mut RunState, network: &NetworkModel) {
         if state.pending.is_empty() && state.pending_responses.is_empty() {
             state.pending_at = None;
@@ -1857,53 +1816,6 @@ mod tests {
             report.lane_remainder > 0,
             "no scalar remainder in a 5-cohort"
         );
-    }
-
-    #[test]
-    fn wire_shard_hub_matches_struct_shard_hub() {
-        // The wire path re-routes every collection through encode → frame
-        // → zero-copy verify; the verifier-side outcome must be
-        // bit-identical to the struct path, including on mixed bursts
-        // where struct-path on-demand reports land with frame-bound
-        // collections.
-        let mut config = config();
-        config.on_demand = 2;
-        let mut wire_shard = shard_for(&config, 0..6, 0);
-        let wire_report = wire_shard.run(&config);
-        config.wire = false;
-        let mut struct_shard = shard_for(&config, 0..6, 0);
-        let struct_report = struct_shard.run(&config);
-        assert_eq!(wire_report.verifications, struct_report.verifications);
-        assert_eq!(wire_report.hub_batches, struct_report.hub_batches);
-        assert_eq!(wire_report.largest_batch, struct_report.largest_batch);
-        assert_eq!(wire_report.all_healthy, struct_report.all_healthy);
-        assert_eq!(
-            wire_report.wire_responses,
-            wire_report.collections_delivered
-        );
-        assert_eq!(wire_report.wire_accepted, wire_report.wire_responses);
-        assert_eq!(wire_report.wire_decode_rejects, 0);
-        assert!(wire_report.wire_frames > 0);
-        assert!(wire_report.wire_bytes > 0);
-        assert_eq!(struct_report.wire_frames, 0);
-        assert_eq!(struct_report.wire_bytes, 0);
-        let wire_hub = wire_shard.into_hub();
-        let struct_hub = struct_shard.into_hub();
-        assert_eq!(wire_hub.ingested(), struct_hub.ingested());
-        assert_eq!(wire_hub.total_entries(), struct_hub.total_entries());
-        for id in 0..6u64 {
-            let wired: Vec<_> = wire_hub
-                .history(DeviceId::new(id))
-                .expect("tracked")
-                .entries()
-                .collect();
-            let reference: Vec<_> = struct_hub
-                .history(DeviceId::new(id))
-                .expect("tracked")
-                .entries()
-                .collect();
-            assert_eq!(wired, reference, "device {id}");
-        }
     }
 
     #[test]

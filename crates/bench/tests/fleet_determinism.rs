@@ -7,7 +7,7 @@
 
 use erasmus_bench::fleet::{self, scaling, FleetConfig, FleetReport};
 use erasmus_crypto::MacAlgorithm;
-use erasmus_sim::{NetworkConfig, Scheduler, SimDuration};
+use erasmus_sim::{NetworkConfig, SimDuration};
 
 fn config(algorithm: MacAlgorithm) -> FleetConfig {
     FleetConfig::new(96, 3, 2, 512, 4, algorithm)
@@ -44,6 +44,175 @@ fn faulty_config() -> FleetConfig {
     config.retries = 6;
     config.seed = 42;
     config
+}
+
+/// The hostile timeline of the scheduler and golden-fingerprint tests:
+/// every fault of [`faulty_config`] plus churn, on-demand traffic and a
+/// hub crash per shard.
+fn hostile_config() -> FleetConfig {
+    let mut config = faulty_config();
+    config.churn = 0.25;
+    config.on_demand = 16;
+    config.hub_crashes = 1;
+    config
+}
+
+/// What a run concluded, as fixed numbers: the fleet's aggregation root
+/// plus the ledgers that shape the timeline.
+#[derive(Debug, PartialEq, Eq)]
+struct Fingerprint<'a> {
+    root_digest: &'a str,
+    history_entries: u64,
+    verifications_total: u64,
+    collections_ingested: u64,
+    hub_batches: u64,
+    largest_batch: u64,
+    events_scheduled: u64,
+    queue_pushes: u64,
+    queue_pops: u64,
+    retry_histogram: &'a [u64],
+}
+
+impl<'a> Fingerprint<'a> {
+    fn of(report: &'a FleetReport) -> Self {
+        Self {
+            root_digest: &report.aggregation.root_digest,
+            history_entries: report.history_entries,
+            verifications_total: report.verifications_total,
+            collections_ingested: report.collections_ingested,
+            hub_batches: report.hub_batches,
+            largest_batch: report.largest_batch,
+            events_scheduled: report.events_scheduled,
+            queue_pushes: report.queue.pushes,
+            queue_pops: report.queue.pops,
+            retry_histogram: &report.retry_histogram,
+        }
+    }
+}
+
+/// Golden fingerprints of `config(HmacSha256)` at 1 and 4 threads (lane
+/// width does not move them). They were captured while the fleet runtime
+/// still offered struct delivery, the binary-heap scheduler and unbounded
+/// history, and every combination of those modes — with ring(64) history
+/// too — reproduced them at lanes 1 and 8. With the modes deleted, these
+/// constants are what detects a change in behaviour.
+const LOSSLESS_GOLDEN: [(usize, Fingerprint<'static>); 2] = [
+    (
+        1,
+        Fingerprint {
+            root_digest: "c57fbc1769b8312831fe503753a49874145d7fb9a5e8956d40ced975e0850866",
+            history_entries: 576,
+            verifications_total: 576,
+            collections_ingested: 192,
+            hub_batches: 8,
+            largest_batch: 24,
+            events_scheduled: 576,
+            queue_pushes: 408,
+            queue_pops: 408,
+            retry_histogram: &[192],
+        },
+    ),
+    (
+        4,
+        Fingerprint {
+            root_digest: "c57fbc1769b8312831fe503753a49874145d7fb9a5e8956d40ced975e0850866",
+            history_entries: 576,
+            verifications_total: 576,
+            collections_ingested: 192,
+            hub_batches: 32,
+            largest_batch: 6,
+            events_scheduled: 576,
+            queue_pushes: 480,
+            queue_pops: 480,
+            retry_histogram: &[192],
+        },
+    ),
+];
+
+/// Golden fingerprints of [`hostile_config`], captured like
+/// [`LOSSLESS_GOLDEN`] and reproduced by the same mode combinations.
+const HOSTILE_GOLDEN: [(usize, Fingerprint<'static>); 2] = [
+    (
+        1,
+        Fingerprint {
+            root_digest: "d465c2bff8c36f20360b82bd2423818fbe401fc0e8be5f3e1a3879a54d13dccf",
+            history_entries: 1110,
+            verifications_total: 1161,
+            collections_ingested: 387,
+            hub_batches: 387,
+            largest_batch: 1,
+            events_scheduled: 1111,
+            queue_pushes: 898,
+            queue_pops: 898,
+            retry_histogram: &[350, 20, 1, 0, 0, 0, 0],
+        },
+    ),
+    (
+        4,
+        Fingerprint {
+            root_digest: "d465c2bff8c36f20360b82bd2423818fbe401fc0e8be5f3e1a3879a54d13dccf",
+            history_entries: 1110,
+            verifications_total: 1161,
+            collections_ingested: 387,
+            hub_batches: 387,
+            largest_batch: 1,
+            events_scheduled: 1111,
+            queue_pushes: 1045,
+            queue_pops: 1045,
+            retry_histogram: &[350, 20, 1, 0, 0, 0, 0],
+        },
+    ),
+];
+
+/// Asserts `report` (run at `threads`) reproduces its golden fingerprint.
+fn assert_golden(
+    golden: &[(usize, Fingerprint<'static>)],
+    report: &FleetReport,
+    threads: usize,
+    label: &str,
+) {
+    let (_, expected) = golden
+        .iter()
+        .find(|(at, _)| *at == threads)
+        .expect("a golden fingerprint for this thread count");
+    assert_eq!(&Fingerprint::of(report), expected, "{label}");
+}
+
+#[test]
+fn golden_fingerprints_survive_ring_eviction() {
+    // The scheduler matrices below check the golden fingerprints at the
+    // default ring capacity, which never evicts here. A ring small enough
+    // to evict — but still covering each device's reordering window —
+    // must reproduce them too, root digest included: eviction seals
+    // entries into the chain without changing what the fleet attests to.
+    for (name, config, capacity, golden) in [
+        (
+            "lossless",
+            config(MacAlgorithm::HmacSha256),
+            4,
+            &LOSSLESS_GOLDEN,
+        ),
+        ("hostile", hostile_config(), 8, &HOSTILE_GOLDEN),
+    ] {
+        for threads in [1usize, 4] {
+            for lanes in [1usize, 8] {
+                let mut config = config.clone();
+                config.lanes = lanes;
+                config.ring_capacity = capacity;
+                let report = fleet::run_threaded(&config, threads);
+                let label = format!("{name} ring({capacity}) threads={threads} lanes={lanes}");
+                assert_golden(golden, &report, threads, &label);
+                assert!(report.history_evictions > 0, "{label}: nothing evicted");
+                assert_eq!(report.history_stale_discards, 0, "{label}");
+                assert_eq!(
+                    report.history_evictions + report.history_resident,
+                    report.history_entries,
+                    "{label}"
+                );
+                assert!(report.all_healthy, "{label}");
+            }
+        }
+    }
 }
 
 #[test]
@@ -306,46 +475,22 @@ fn lane_batched_scenario_runs_stay_thread_and_lane_invariant() {
 
 #[test]
 fn wire_delivery_matches_struct_delivery_bit_for_bit() {
-    // The tentpole invariant: routing every collection burst through the
-    // encoded frame path must be observationally identical to the legacy
-    // in-memory path — same totals, same hub coverage, same health — at 1
-    // and 4 threads, on a lossless run.
-    let wire_config = config(MacAlgorithm::HmacSha256);
-    assert!(wire_config.wire, "wire delivery is the default");
-    let mut struct_config = wire_config.clone();
-    struct_config.wire = false;
-
+    // Routing every collection burst through the encoded frame path must
+    // reproduce the totals the in-memory struct path produced (the golden
+    // fingerprints, which struct delivery matched before it was deleted),
+    // conserve the wire ledger, and stay thread-invariant — at 1 and 4
+    // threads, on a lossless run.
+    let config = config(MacAlgorithm::HmacSha256);
+    let single = fleet::run_threaded(&config, 1);
     for threads in [1usize, 4] {
-        let wire = fleet::run_threaded(&wire_config, threads);
-        let legacy = fleet::run_threaded(&struct_config, threads);
+        let wire = fleet::run_threaded(&config, threads);
         let label = format!("threads={threads}");
-
-        assert_eq!(
-            wire.measurements_total, legacy.measurements_total,
-            "{label}"
-        );
-        assert_eq!(
-            wire.verifications_total, legacy.verifications_total,
-            "{label}"
-        );
-        assert_eq!(
-            wire.collections_delivered, legacy.collections_delivered,
-            "{label}"
-        );
-        assert_eq!(
-            wire.collections_ingested, legacy.collections_ingested,
-            "{label}"
-        );
-        assert_eq!(wire.devices_tracked, legacy.devices_tracked, "{label}");
-        assert_eq!(wire.history_entries, legacy.history_entries, "{label}");
-        assert_eq!(wire.hub_batches, legacy.hub_batches, "{label}");
-        assert_eq!(wire.largest_batch, legacy.largest_batch, "{label}");
-        assert_eq!(wire.simulated_busy, legacy.simulated_busy, "{label}");
-        assert_eq!(wire.all_healthy, legacy.all_healthy, "{label}");
+        assert_golden(&LOSSLESS_GOLDEN, &wire, threads, &label);
+        assert_same_outcome(&wire, &single, &label);
         assert!(wire.all_healthy, "{label}");
 
-        // The wire run actually used the wire: 100% of collection traffic
-        // travelled as encoded frames and decoded losslessly.
+        // 100% of collection traffic travelled as encoded frames and
+        // decoded losslessly.
         assert!(wire.wire_frames > 0, "{label}: no frame was encoded");
         assert!(wire.wire_bytes > 0, "{label}");
         assert_eq!(
@@ -357,71 +502,35 @@ fn wire_delivery_matches_struct_delivery_bit_for_bit() {
             "{label}: every ingested report came off a decoded frame"
         );
         assert_eq!(wire.decode_rejects, 0, "{label}");
-
-        // The struct run never touched the wire counters.
-        assert_eq!(legacy.wire_frames, 0, "{label}");
-        assert_eq!(legacy.wire_bytes, 0, "{label}");
-        assert_eq!(legacy.decoded_accepted, 0, "{label}");
     }
 }
 
 #[test]
 fn wire_delivery_stays_invariant_under_loss_churn_and_on_demand() {
-    // Same invariant on a hostile timeline: drops, churn and on-demand
-    // traffic (which rides the struct path inside a wire run, since OD
-    // reports are verified at receive time) must not open any daylight
-    // between the two delivery modes, at any thread count.
-    let mut wire_config = config(MacAlgorithm::HmacSha256);
-    wire_config.rounds = 3;
-    wire_config.churn = 0.2;
-    wire_config.on_demand = 24;
-    wire_config.network = NetworkConfig {
+    // Same laws on a hostile timeline: drops, churn and on-demand traffic
+    // (whose reports are verified at receive time and fold into the hub
+    // beside the frames) must conserve the wire ledger and leave no
+    // daylight between thread counts.
+    let mut config = config(MacAlgorithm::HmacSha256);
+    config.rounds = 3;
+    config.churn = 0.2;
+    config.on_demand = 24;
+    config.network = NetworkConfig {
         base_latency: SimDuration::from_millis(10),
         jitter: SimDuration::from_millis(5),
         loss: 0.05,
         ..NetworkConfig::IDEAL
     };
-    wire_config.seed = 11;
-    let mut struct_config = wire_config.clone();
-    struct_config.wire = false;
+    config.seed = 11;
 
-    let baseline = fleet::run_threaded(&struct_config, 1);
+    let baseline = fleet::run_threaded(&config, 1);
     for threads in [1usize, 4] {
-        let wire = fleet::run_threaded(&wire_config, threads);
+        let wire = fleet::run_threaded(&config, threads);
         let label = format!("threads={threads}");
-        assert_eq!(
-            wire.measurements_total, baseline.measurements_total,
-            "{label}"
-        );
-        assert_eq!(
-            wire.verifications_total, baseline.verifications_total,
-            "{label}"
-        );
-        assert_eq!(
-            wire.collections_delivered, baseline.collections_delivered,
-            "{label}"
-        );
-        assert_eq!(
-            wire.collections_dropped, baseline.collections_dropped,
-            "{label}"
-        );
-        assert_eq!(
-            wire.collections_ingested, baseline.collections_ingested,
-            "{label}"
-        );
-        assert_eq!(wire.devices_churned, baseline.devices_churned, "{label}");
-        assert_eq!(
-            wire.on_demand_completed, baseline.on_demand_completed,
-            "{label}"
-        );
-        assert_eq!(wire.on_demand_p50, baseline.on_demand_p50, "{label}");
-        assert_eq!(wire.on_demand_p99, baseline.on_demand_p99, "{label}");
-        assert_eq!(wire.history_entries, baseline.history_entries, "{label}");
-        assert_eq!(wire.simulated_busy, baseline.simulated_busy, "{label}");
-        assert_eq!(wire.all_healthy, baseline.all_healthy, "{label}");
+        assert_same_outcome(&wire, &baseline, &label);
 
         // Conservation on the wire axis: collections ride frames, on-demand
-        // reports ride the struct path, nothing is double-counted.
+        // reports fold in verified, nothing is double-counted.
         assert_eq!(wire.wire_responses, wire.collections_delivered, "{label}");
         assert_eq!(
             wire.decoded_accepted + wire.on_demand_completed,
@@ -433,6 +542,8 @@ fn wire_delivery_stays_invariant_under_loss_churn_and_on_demand() {
             wire.collections_dropped > 0,
             "{label}: loss dropped nothing"
         );
+        assert!(wire.on_demand_completed > 0, "{label}");
+        assert!(wire.devices_churned > 0, "{label}");
     }
 }
 
@@ -683,9 +794,10 @@ fn churn_under_retransmission_never_replays_stale_evidence() {
     assert_eq!(single.devices_churned, threaded.devices_churned);
 }
 
-/// Asserts every simulated-outcome field of two reports agrees — the
-/// scheduler-equivalence contract. Wall clocks and queue geometry are the
-/// only axes allowed to differ between the calendar and heap backends.
+/// Asserts every simulated-outcome field that no partition or lane width
+/// may move agrees between two reports: what each device did and what the
+/// verifier side learned, the collect-hop reliability ledger and the
+/// measurement-event count.
 fn assert_same_outcome(a: &FleetReport, b: &FleetReport, label: &str) {
     assert_eq!(a.measurements_total, b.measurements_total, "{label}");
     assert_eq!(a.verifications_total, b.verifications_total, "{label}");
@@ -693,6 +805,10 @@ fn assert_same_outcome(a: &FleetReport, b: &FleetReport, label: &str) {
     assert_eq!(a.all_healthy, b.all_healthy, "{label}");
     assert_eq!(a.devices_tracked, b.devices_tracked, "{label}");
     assert_eq!(a.history_entries, b.history_entries, "{label}");
+    assert_eq!(
+        a.aggregation.root_digest, b.aggregation.root_digest,
+        "{label}"
+    );
     assert_eq!(a.collections_ingested, b.collections_ingested, "{label}");
     assert_eq!(a.collections_attempted, b.collections_attempted, "{label}");
     assert_eq!(a.collections_delivered, b.collections_delivered, "{label}");
@@ -702,69 +818,85 @@ fn assert_same_outcome(a: &FleetReport, b: &FleetReport, label: &str) {
     assert_eq!(a.churn_losses, b.churn_losses, "{label}");
     assert_eq!(a.stale_retries, b.stale_retries, "{label}");
     assert_eq!(a.retry_histogram, b.retry_histogram, "{label}");
-    assert_eq!(a.hub_duplicates, b.hub_duplicates, "{label}");
     assert_eq!(a.devices_churned, b.devices_churned, "{label}");
     assert_eq!(a.on_demand_attempted, b.on_demand_attempted, "{label}");
     assert_eq!(a.on_demand_completed, b.on_demand_completed, "{label}");
     assert_eq!(a.on_demand_p50, b.on_demand_p50, "{label}");
     assert_eq!(a.on_demand_p99, b.on_demand_p99, "{label}");
-    assert_eq!(a.lane_jobs, b.lane_jobs, "{label}");
-    assert_eq!(a.lane_remainder, b.lane_remainder, "{label}");
     assert_eq!(a.events_scheduled, b.events_scheduled, "{label}");
+}
+
+/// [`assert_same_outcome`] plus the shard-timeline ledgers — bursts, the
+/// frame-hop and hub reliability counters, cohort coalescing, pool and
+/// queue traffic — which depend on the partition but on nothing else, so
+/// they must agree between runs at the same thread count.
+fn assert_same_timeline(a: &FleetReport, b: &FleetReport, label: &str) {
+    assert_same_outcome(a, b, label);
+    assert_eq!(a.hub_batches, b.hub_batches, "{label}");
+    assert_eq!(a.largest_batch, b.largest_batch, "{label}");
+    assert_eq!(a.frame_retransmits, b.frame_retransmits, "{label}");
+    assert_eq!(a.frame_duplicates, b.frame_duplicates, "{label}");
+    assert_eq!(a.corrupt_decode_drops, b.corrupt_decode_drops, "{label}");
+    assert_eq!(a.corrupt_tamper_drops, b.corrupt_tamper_drops, "{label}");
+    assert_eq!(a.hub_duplicates, b.hub_duplicates, "{label}");
+    assert_eq!(a.hub_crashes, b.hub_crashes, "{label}");
+    assert_eq!(a.snapshot_bytes, b.snapshot_bytes, "{label}");
     assert_eq!(a.singleton_events, b.singleton_events, "{label}");
     assert_eq!(a.coalesced_events, b.coalesced_events, "{label}");
     assert_eq!(a.event_pool_high_water, b.event_pool_high_water, "{label}");
-    // Push/pop traffic is a function of the simulated timeline alone, so
-    // it too must agree; only bucket geometry is backend-specific.
     assert_eq!(a.queue.pushes, b.queue.pushes, "{label}");
     assert_eq!(a.queue.pops, b.queue.pops, "{label}");
 }
 
+/// The scheduler acceptance matrix on one configuration: every lane width
+/// × thread count must reproduce the timeline of the scalar run at the same
+/// thread count, the outcome of the single-threaded scalar run, and — at 1
+/// and 4 threads — the golden fingerprint that the calendar queue and the
+/// binary-heap oracle both produced when each could drive a fleet.
+fn assert_scheduler_matrix(
+    config: &FleetConfig,
+    golden: &[(usize, Fingerprint<'static>)],
+    name: &str,
+) -> Vec<FleetReport> {
+    let mut reports: Vec<FleetReport> = Vec::new();
+    for threads in [1usize, 2, 4] {
+        let scalar = fleet::run_threaded(config, threads);
+        for lanes in [1usize, 4, 8] {
+            let mut lane_config = config.clone();
+            lane_config.lanes = lanes;
+            let report = fleet::run_threaded(&lane_config, threads);
+            let label = format!("{name} lanes={lanes} threads={threads}");
+            assert_same_timeline(&report, &scalar, &label);
+            if let Some(single_scalar) = reports.first() {
+                assert_same_outcome(&report, single_scalar, &label);
+            }
+            if threads != 2 {
+                assert_golden(golden, &report, threads, &label);
+            }
+            assert_eq!(report.queue.pushes, report.queue.pops, "{label}");
+            assert_eq!(report.queue.buckets, 1024, "{label}");
+            reports.push(report);
+        }
+    }
+    reports
+}
+
 #[test]
 fn calendar_and_heap_schedulers_agree_across_threads_and_lanes() {
-    // The acceptance matrix: every thread count × lane width, lossless,
-    // must produce identical outcomes under both queue backends.
-    let base = config(MacAlgorithm::HmacSha256);
-    for lanes in [1usize, 4, 8] {
-        for threads in [1usize, 2, 4] {
-            let mut calendar_config = base.clone();
-            calendar_config.lanes = lanes;
-            let mut heap_config = calendar_config.clone();
-            heap_config.scheduler = Scheduler::Heap;
-            let calendar = fleet::run_threaded(&calendar_config, threads);
-            let heap = fleet::run_threaded(&heap_config, threads);
-            let label = format!("lossless lanes={lanes} threads={threads}");
-            assert_same_outcome(&calendar, &heap, &label);
-            assert!(calendar.all_healthy, "{label}");
-        }
+    let config = config(MacAlgorithm::HmacSha256);
+    for report in assert_scheduler_matrix(&config, &LOSSLESS_GOLDEN, "lossless") {
+        assert!(report.all_healthy);
     }
 }
 
 #[test]
 fn calendar_and_heap_schedulers_agree_under_faults_and_churn() {
-    // Same matrix on the hostile timeline: loss + duplication + reorder +
-    // corruption + churn + on-demand + hub crashes, with ARQ running hot.
-    // This drives every event variant (retry timers, stale epochs, crash
-    // snapshots) through both backends.
-    let mut base = faulty_config();
-    base.churn = 0.25;
-    base.on_demand = 16;
-    base.hub_crashes = 1;
-    for lanes in [1usize, 4, 8] {
-        for threads in [1usize, 2, 4] {
-            let mut calendar_config = base.clone();
-            calendar_config.lanes = lanes;
-            let mut heap_config = calendar_config.clone();
-            heap_config.scheduler = Scheduler::Heap;
-            let calendar = fleet::run_threaded(&calendar_config, threads);
-            let heap = fleet::run_threaded(&heap_config, threads);
-            let label = format!("faulty lanes={lanes} threads={threads}");
-            assert_same_outcome(&calendar, &heap, &label);
-            assert!(
-                calendar.collect_retransmits > 0,
-                "{label}: faults retried nothing"
-            );
-        }
+    // Loss + duplication + reorder + corruption + churn + on-demand + hub
+    // crashes, with ARQ running hot: every event variant (retry timers,
+    // stale epochs, crash snapshots) goes through the calendar queue.
+    for report in assert_scheduler_matrix(&hostile_config(), &HOSTILE_GOLDEN, "hostile") {
+        assert!(report.collect_retransmits > 0, "faults retried nothing");
+        assert!(report.hub_crashes > 0);
     }
 }
 

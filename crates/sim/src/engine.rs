@@ -1,11 +1,11 @@
 //! Discrete-event simulation engine.
 
-use crate::event::{EventQueue, QueueStats, ScheduledEvent, Scheduler};
+use crate::event::{CalendarQueue, QueueStats, ScheduledEvent};
 use crate::time::{SimDuration, SimTime};
 
 /// A single-clock discrete-event engine.
 ///
-/// The engine owns the event queue and the current time. Pulling the next
+/// The engine owns a [`CalendarQueue`] and the current time. Pulling the next
 /// event advances the clock to that event's timestamp, which is the standard
 /// discrete-event semantics: nothing happens between events.
 ///
@@ -30,32 +30,19 @@ use crate::time::{SimDuration, SimTime};
 /// ```
 #[derive(Debug)]
 pub struct Engine<T> {
-    queue: EventQueue<T>,
+    queue: CalendarQueue<T>,
     now: SimTime,
     processed: u64,
 }
 
 impl<T> Engine<T> {
-    /// Creates an engine with an empty calendar-queue at time zero.
+    /// Creates an engine with an empty calendar queue at time zero.
     pub fn new() -> Self {
-        Self::with_scheduler(Scheduler::Calendar)
-    }
-
-    /// Creates an engine scheduling on the given queue backend.
-    ///
-    /// Both backends deliver the identical event order; [`Scheduler::Heap`]
-    /// exists as the compatibility/oracle path.
-    pub fn with_scheduler(scheduler: Scheduler) -> Self {
         Self {
-            queue: EventQueue::with_scheduler(scheduler),
+            queue: CalendarQueue::new(),
             now: SimTime::ZERO,
             processed: 0,
         }
-    }
-
-    /// Which queue backend this engine schedules on.
-    pub fn scheduler(&self) -> Scheduler {
-        self.queue.scheduler()
     }
 
     /// Lifetime counters of the underlying event queue.
@@ -196,6 +183,7 @@ impl<T> Default for Engine<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::HeapEventQueue;
 
     #[test]
     fn delivers_in_time_order_and_advances_clock() {
@@ -297,33 +285,53 @@ mod tests {
         assert_eq!(engine.pending(), 2);
     }
 
+    /// Follow-ups the trace test's handler schedules for `payload`: a mix
+    /// of near reschedules, same-instant follow-ups and far-future events.
+    fn follow_ups(payload: u32) -> Vec<(SimDuration, u32)> {
+        if payload >= 20 {
+            return Vec::new();
+        }
+        let delay = if payload % 4 == 0 {
+            SimDuration::from_secs(0)
+        } else {
+            SimDuration::from_secs(u64::from(payload % 7))
+        };
+        vec![
+            (delay, payload + 1),
+            (SimDuration::from_secs(30), payload + 100),
+        ]
+    }
+
     #[test]
     fn backends_deliver_identical_traces() {
-        let mut traces = Vec::new();
-        for scheduler in [Scheduler::Calendar, Scheduler::Heap] {
-            let mut engine = Engine::with_scheduler(scheduler);
-            assert_eq!(engine.scheduler(), scheduler);
-            engine.schedule_at(SimTime::from_secs(1), 0u32);
-            let mut trace = Vec::new();
-            engine.run_with(&mut trace, |engine, trace, event| {
-                trace.push((event.time, event.sequence, event.payload));
-                if event.payload < 20 {
-                    // Mix of near reschedules and same-instant follow-ups.
-                    let delay = if event.payload % 4 == 0 {
-                        SimDuration::from_secs(0)
-                    } else {
-                        SimDuration::from_secs(u64::from(event.payload % 7))
-                    };
-                    engine.schedule_in(delay, event.payload + 1);
-                    engine.schedule_in(SimDuration::from_secs(30), event.payload + 100);
-                }
-                event.payload < 100
-            });
-            let stats = engine.queue_stats();
-            assert_eq!(stats.pops, engine.processed());
-            traces.push(trace);
+        // The engine's calendar queue against a heap-oracle replay of the
+        // same handler: identical (time, sequence, payload) traces.
+        let mut engine = Engine::new();
+        engine.schedule_at(SimTime::from_secs(1), 0u32);
+        let mut trace = Vec::new();
+        engine.run_with(&mut trace, |engine, trace, event| {
+            trace.push((event.time, event.sequence, event.payload));
+            for (delay, payload) in follow_ups(event.payload) {
+                engine.schedule_in(delay, payload);
+            }
+            event.payload < 100
+        });
+        assert_eq!(engine.queue_stats().pops, engine.processed());
+
+        let mut heap = HeapEventQueue::new();
+        heap.push(SimTime::from_secs(1), 0u32);
+        let mut replay = Vec::new();
+        while let Some(event) = heap.pop() {
+            replay.push((event.time, event.sequence, event.payload));
+            for (delay, payload) in follow_ups(event.payload) {
+                heap.push(event.time + delay, payload);
+            }
+            if event.payload >= 100 {
+                break;
+            }
         }
-        assert_eq!(traces[0], traces[1]);
+        assert_eq!(trace.len(), 15);
+        assert_eq!(trace, replay);
     }
 
     #[test]

@@ -1,21 +1,18 @@
 //! Time-ordered event queues: the calendar-queue scheduler and the
 //! binary-heap reference implementation.
 //!
-//! [`EventQueue`] is the queue the [`Engine`](crate::Engine) runs on. Since
-//! the calendar-queue refactor it fronts one of two backends selected by
-//! [`Scheduler`]:
-//!
-//! * [`CalendarQueue`] (the default) — a bucketed rotating-wheel scheduler.
-//!   Near-future events land in a wheel of fixed-width time buckets; pops
-//!   rotate a cursor through the wheel and drain one bucket at a time, so
-//!   steady-state push and pop cost O(1) instead of the heap's O(log n).
-//!   Far-future events (beyond one wheel revolution) wait in a min-heap
-//!   overflow and migrate into the wheel as the cursor approaches.
+//! * [`CalendarQueue`] — the queue the [`Engine`](crate::Engine) runs on:
+//!   a bucketed rotating-wheel scheduler. Near-future events land in a
+//!   wheel of fixed-width time buckets; pops rotate a cursor through the
+//!   wheel and drain one bucket at a time, so steady-state push and pop
+//!   cost O(1) instead of the heap's O(log n). Far-future events (beyond
+//!   one wheel revolution) wait in a min-heap overflow and migrate into the
+//!   wheel as the cursor approaches.
 //! * [`HeapEventQueue`] — the original `BinaryHeap` implementation, kept as
-//!   the compatibility path (`perfbench --scheduler heap`) and as the
-//!   property-test oracle for order equivalence.
+//!   the oracle the order-equivalence tests compare the calendar queue
+//!   against, and as the baseline of the `scheduler` criterion group.
 //!
-//! Both backends deliver the exact same order: ascending event time, ties
+//! Both queues deliver the exact same order: ascending event time, ties
 //! broken FIFO by a monotonic per-queue sequence number. Every structure in
 //! this module is deterministic — plain `Vec`s and integer arithmetic, no
 //! hashing, no wall clock — so simulation results depend only on the
@@ -38,51 +35,9 @@ pub struct ScheduledEvent<T> {
 }
 
 impl<T> ScheduledEvent<T> {
-    /// The total order both backends deliver in.
+    /// The total order both queues deliver in.
     fn key(&self) -> (SimTime, u64) {
         (self.time, self.sequence)
-    }
-}
-
-/// Which queue backend an [`EventQueue`] (or an
-/// [`Engine`](crate::Engine)) schedules on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// The bucketed rotating-wheel calendar queue (the default).
-    #[default]
-    Calendar,
-    /// The binary-heap reference implementation, kept bit-compatible as the
-    /// compatibility path and test oracle.
-    Heap,
-}
-
-impl Scheduler {
-    /// Canonical lowercase name, as used by CLI flags and JSON reports.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Scheduler::Calendar => "calendar",
-            Scheduler::Heap => "heap",
-        }
-    }
-}
-
-impl std::fmt::Display for Scheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for Scheduler {
-    type Err = String;
-
-    fn from_str(value: &str) -> Result<Self, Self::Err> {
-        match value {
-            "calendar" => Ok(Scheduler::Calendar),
-            "heap" => Ok(Scheduler::Heap),
-            other => Err(format!(
-                "unknown scheduler '{other}' (expected 'calendar' or 'heap')"
-            )),
-        }
     }
 }
 
@@ -95,13 +50,13 @@ pub struct QueueStats {
     /// Events popped.
     pub pops: u64,
     /// Pushes that landed beyond the wheel horizon, into the min-heap
-    /// overflow (always 0 for the heap backend).
+    /// overflow (always 0 for the heap queue).
     pub overflow_pushes: u64,
     /// High-water mark of pending events.
     pub max_pending: u64,
-    /// Number of wheel buckets (0 for the heap backend).
+    /// Number of wheel buckets (0 for the heap queue).
     pub buckets: u64,
-    /// Bucket width in nanoseconds (0 for the heap backend).
+    /// Bucket width in nanoseconds (0 for the heap queue).
     pub bucket_width_nanos: u64,
 }
 
@@ -135,9 +90,9 @@ impl<T> Ord for HeapEntry<T> {
 /// The original `BinaryHeap`-backed queue: O(log n) push/pop, identical
 /// delivery order to [`CalendarQueue`].
 ///
-/// Retained for two jobs: the `--scheduler heap` compatibility path of the
-/// fleet harness (runs must be bit-identical across backends) and the
-/// oracle of the order-equivalence property test.
+/// Retained as the oracle of the order-equivalence tests (here, in the
+/// engine, and in `tests/queue_equivalence.rs`) and as the baseline of the
+/// `scheduler` criterion group; no runtime path schedules on it.
 #[derive(Debug)]
 pub struct HeapEventQueue<T> {
     heap: BinaryHeap<HeapEntry<T>>,
@@ -239,6 +194,21 @@ fn bucket_index(time: SimTime) -> u64 {
 /// Delivery order is identical to [`HeapEventQueue`]: ascending
 /// `(time, sequence)`, i.e. FIFO among same-instant events — the property
 /// test in `tests/queue_equivalence.rs` pins this against the heap oracle.
+///
+/// # Example
+///
+/// ```
+/// use erasmus_sim::{CalendarQueue, SimTime};
+///
+/// let mut queue = CalendarQueue::new();
+/// queue.push(SimTime::from_secs(3), "c");
+/// queue.push(SimTime::from_secs(1), "a");
+/// queue.push(SimTime::from_secs(1), "b");
+/// assert_eq!(queue.pop().map(|e| e.payload), Some("a"));
+/// assert_eq!(queue.pop().map(|e| e.payload), Some("b"));
+/// assert_eq!(queue.pop().map(|e| e.payload), Some("c"));
+/// assert!(queue.is_empty());
+/// ```
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
     /// The wheel: `BUCKET_COUNT` unsorted buckets. A bucket may hold events
@@ -251,7 +221,7 @@ pub struct CalendarQueue<T> {
     cursor: u64,
     /// Events currently in wheel buckets (excluding the drain).
     wheel_len: usize,
-    /// Far-future events in a min-heap (reusing the oracle backend's
+    /// Far-future events in a min-heap (reusing the heap oracle's
     /// [`HeapEntry`] ordering): O(log n) insert, O(1) min peek, so the
     /// migration guard never sorts and a steady drip of one-revolution-out
     /// pushes costs O(log n) each instead of a re-sort per cursor advance.
@@ -467,181 +437,111 @@ impl<T> Default for CalendarQueue<T> {
     }
 }
 
-#[derive(Debug)]
-enum Backend<T> {
-    Calendar(CalendarQueue<T>),
-    Heap(HeapEventQueue<T>),
-}
-
-/// A priority queue of events ordered by time, with FIFO tie-breaking.
-///
-/// Backed by the [`CalendarQueue`] by default; [`EventQueue::with_scheduler`]
-/// selects the [`HeapEventQueue`] compatibility backend instead. Delivery
-/// order is identical either way.
-///
-/// # Example
-///
-/// ```
-/// use erasmus_sim::{EventQueue, SimTime};
-///
-/// let mut queue = EventQueue::new();
-/// queue.push(SimTime::from_secs(3), "c");
-/// queue.push(SimTime::from_secs(1), "a");
-/// queue.push(SimTime::from_secs(1), "b");
-/// assert_eq!(queue.pop().map(|e| e.payload), Some("a"));
-/// assert_eq!(queue.pop().map(|e| e.payload), Some("b"));
-/// assert_eq!(queue.pop().map(|e| e.payload), Some("c"));
-/// assert!(queue.is_empty());
-/// ```
-#[derive(Debug)]
-pub struct EventQueue<T> {
-    backend: Backend<T>,
-}
-
-impl<T> EventQueue<T> {
-    /// Creates an empty calendar-backed queue.
-    pub fn new() -> Self {
-        Self::with_scheduler(Scheduler::Calendar)
-    }
-
-    /// Creates an empty queue on the given backend.
-    pub fn with_scheduler(scheduler: Scheduler) -> Self {
-        let backend = match scheduler {
-            Scheduler::Calendar => Backend::Calendar(CalendarQueue::new()),
-            Scheduler::Heap => Backend::Heap(HeapEventQueue::new()),
-        };
-        Self { backend }
-    }
-
-    /// Which backend this queue schedules on.
-    pub fn scheduler(&self) -> Scheduler {
-        match &self.backend {
-            Backend::Calendar(_) => Scheduler::Calendar,
-            Backend::Heap(_) => Scheduler::Heap,
-        }
-    }
-
-    /// Schedules `payload` at `time`.
-    pub fn push(&mut self, time: SimTime, payload: T) {
-        match &mut self.backend {
-            Backend::Calendar(queue) => queue.push(time, payload),
-            Backend::Heap(queue) => queue.push(time, payload),
-        }
-    }
-
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<ScheduledEvent<T>> {
-        match &mut self.backend {
-            Backend::Calendar(queue) => queue.pop(),
-            Backend::Heap(queue) => queue.pop(),
-        }
-    }
-
-    /// Time of the earliest pending event, if any.
-    ///
-    /// Takes `&mut self` since the calendar backend may rotate its cursor
-    /// forward to find the next event; delivery order is unaffected.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.backend {
-            Backend::Calendar(queue) => queue.peek_time(),
-            Backend::Heap(queue) => queue.peek_time(),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Calendar(queue) => queue.len(),
-            Backend::Heap(queue) => queue.len(),
-        }
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Removes all pending events. Sequence numbers keep counting, so FIFO
-    /// ordering stays globally monotonic across the clear.
-    pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Calendar(queue) => queue.clear(),
-            Backend::Heap(queue) => queue.clear(),
-        }
-    }
-
-    /// Lifetime counters of this queue.
-    pub fn stats(&self) -> QueueStats {
-        match &self.backend {
-            Backend::Calendar(queue) => queue.stats(),
-            Backend::Heap(queue) => queue.stats(),
-        }
-    }
-}
-
-impl<T> Default for EventQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn both() -> [EventQueue<u32>; 2] {
-        [
-            EventQueue::with_scheduler(Scheduler::Calendar),
-            EventQueue::with_scheduler(Scheduler::Heap),
-        ]
+    /// The calendar queue and the heap oracle fed the same operations in
+    /// step; every observation is compared before it is returned.
+    struct Lockstep {
+        calendar: CalendarQueue<u32>,
+        heap: HeapEventQueue<u32>,
+    }
+
+    impl Lockstep {
+        fn new() -> Self {
+            Self {
+                calendar: CalendarQueue::new(),
+                heap: HeapEventQueue::new(),
+            }
+        }
+
+        fn push(&mut self, time: SimTime, payload: u32) {
+            self.calendar.push(time, payload);
+            self.heap.push(time, payload);
+        }
+
+        fn pop(&mut self) -> Option<ScheduledEvent<u32>> {
+            let event = self.calendar.pop();
+            assert_eq!(event, self.heap.pop());
+            event
+        }
+
+        fn peek_time(&mut self) -> Option<SimTime> {
+            let time = self.calendar.peek_time();
+            assert_eq!(time, self.heap.peek_time());
+            time
+        }
+
+        fn len(&self) -> usize {
+            assert_eq!(self.calendar.len(), self.heap.len());
+            assert_eq!(self.calendar.is_empty(), self.heap.is_empty());
+            self.calendar.len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+
+        fn clear(&mut self) {
+            self.calendar.clear();
+            self.heap.clear();
+        }
+
+        /// Traffic counters agree; only the wheel geometry is
+        /// calendar-specific.
+        fn stats(&self) -> QueueStats {
+            let (calendar, heap) = (self.calendar.stats(), self.heap.stats());
+            assert_eq!(calendar.pushes, heap.pushes);
+            assert_eq!(calendar.pops, heap.pops);
+            assert_eq!(calendar.max_pending, heap.max_pending);
+            assert_eq!((heap.buckets, heap.bucket_width_nanos), (0, 0));
+            calendar
+        }
     }
 
     #[test]
     fn orders_by_time() {
-        for mut queue in both() {
-            queue.push(SimTime::from_secs(10), 10u32);
-            queue.push(SimTime::from_secs(5), 5);
-            queue.push(SimTime::from_secs(7), 7);
-            let order: Vec<u32> = std::iter::from_fn(|| queue.pop().map(|e| e.payload)).collect();
-            assert_eq!(order, vec![5, 7, 10], "{}", queue.scheduler());
-        }
+        let mut queue = Lockstep::new();
+        queue.push(SimTime::from_secs(10), 10u32);
+        queue.push(SimTime::from_secs(5), 5);
+        queue.push(SimTime::from_secs(7), 7);
+        let order: Vec<u32> = std::iter::from_fn(|| queue.pop().map(|e| e.payload)).collect();
+        assert_eq!(order, vec![5, 7, 10]);
     }
 
     #[test]
     fn ties_broken_fifo() {
-        for mut queue in both() {
-            let t = SimTime::from_secs(1);
-            for i in 0..100u32 {
-                queue.push(t, i);
-            }
-            let order: Vec<u32> = std::iter::from_fn(|| queue.pop().map(|e| e.payload)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>(), "{}", queue.scheduler());
+        let mut queue = Lockstep::new();
+        let t = SimTime::from_secs(1);
+        for i in 0..100u32 {
+            queue.push(t, i);
         }
+        let order: Vec<u32> = std::iter::from_fn(|| queue.pop().map(|e| e.payload)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn peek_and_len() {
-        for mut queue in both() {
-            assert!(queue.is_empty());
-            assert_eq!(queue.peek_time(), None);
-            queue.push(SimTime::from_secs(2), 0);
-            queue.push(SimTime::from_secs(1), 0);
-            assert_eq!(queue.len(), 2);
-            assert_eq!(queue.peek_time(), Some(SimTime::from_secs(1)));
-            queue.clear();
-            assert!(queue.is_empty());
-        }
+        let mut queue = Lockstep::new();
+        assert!(queue.is_empty());
+        assert_eq!(queue.peek_time(), None);
+        queue.push(SimTime::from_secs(2), 0);
+        queue.push(SimTime::from_secs(1), 0);
+        assert_eq!(queue.len(), 2);
+        assert_eq!(queue.peek_time(), Some(SimTime::from_secs(1)));
+        queue.clear();
+        assert!(queue.is_empty());
     }
 
     #[test]
     fn sequence_numbers_are_monotonic() {
-        for mut queue in both() {
-            queue.push(SimTime::ZERO, 0);
-            queue.push(SimTime::ZERO, 1);
-            let first = queue.pop().expect("event");
-            let second = queue.pop().expect("event");
-            assert!(first.sequence < second.sequence);
-        }
+        let mut queue = Lockstep::new();
+        queue.push(SimTime::ZERO, 0);
+        queue.push(SimTime::ZERO, 1);
+        let first = queue.pop().expect("event");
+        let second = queue.pop().expect("event");
+        assert!(first.sequence < second.sequence);
     }
 
     #[test]
@@ -708,63 +608,46 @@ mod tests {
     fn push_before_cursor_still_delivers_first() {
         // The raw queue is a general priority queue: after draining to 10 s
         // a push at 1 s must still come out before one at 20 s.
-        for mut queue in both() {
-            queue.push(SimTime::from_secs(10), 10);
-            assert_eq!(queue.pop().map(|e| e.payload), Some(10));
-            queue.push(SimTime::from_secs(20), 20);
-            queue.push(SimTime::from_secs(1), 1);
-            assert_eq!(queue.pop().map(|e| e.payload), Some(1));
-            assert_eq!(queue.pop().map(|e| e.payload), Some(20));
-        }
+        let mut queue = Lockstep::new();
+        queue.push(SimTime::from_secs(10), 10);
+        assert_eq!(queue.pop().map(|e| e.payload), Some(10));
+        queue.push(SimTime::from_secs(20), 20);
+        queue.push(SimTime::from_secs(1), 1);
+        assert_eq!(queue.pop().map(|e| e.payload), Some(1));
+        assert_eq!(queue.pop().map(|e| e.payload), Some(20));
     }
 
     #[test]
     fn clear_recycles_but_keeps_sequencing() {
-        for mut queue in both() {
-            queue.push(SimTime::from_secs(1), 1);
-            queue.push(SimTime::from_secs(3600), 2);
-            queue.clear();
-            assert!(queue.is_empty());
-            assert_eq!(queue.pop(), None);
-            queue.push(SimTime::from_secs(2), 3);
-            let event = queue.pop().expect("event");
-            assert_eq!(event.payload, 3);
-            // Sequence numbers survive the clear (monotonic FIFO tie-break
-            // across the whole queue lifetime).
-            assert_eq!(event.sequence, 2);
-        }
+        let mut queue = Lockstep::new();
+        queue.push(SimTime::from_secs(1), 1);
+        queue.push(SimTime::from_secs(3600), 2);
+        queue.clear();
+        assert!(queue.is_empty());
+        assert_eq!(queue.pop(), None);
+        queue.push(SimTime::from_secs(2), 3);
+        let event = queue.pop().expect("event");
+        assert_eq!(event.payload, 3);
+        // Sequence numbers survive the clear (monotonic FIFO tie-break
+        // across the whole queue lifetime).
+        assert_eq!(event.sequence, 2);
     }
 
     #[test]
     fn stats_track_pushes_pops_and_high_water() {
-        for mut queue in both() {
-            for i in 0..10u32 {
-                queue.push(SimTime::from_secs(u64::from(i)), i);
-            }
-            for _ in 0..4 {
-                queue.pop();
-            }
-            let stats = queue.stats();
-            assert_eq!(stats.pushes, 10);
-            assert_eq!(stats.pops, 4);
-            assert_eq!(stats.max_pending, 10);
-            assert_eq!(
-                stats.pushes - stats.pops,
-                queue.len() as u64,
-                "{}",
-                queue.scheduler()
-            );
+        let mut queue = Lockstep::new();
+        for i in 0..10u32 {
+            queue.push(SimTime::from_secs(u64::from(i)), i);
         }
-    }
-
-    #[test]
-    fn scheduler_parses_and_prints_round_trip() {
-        for scheduler in [Scheduler::Calendar, Scheduler::Heap] {
-            let parsed: Scheduler = scheduler.as_str().parse().expect("round-trips");
-            assert_eq!(parsed, scheduler);
+        for _ in 0..4 {
+            queue.pop();
         }
-        assert!("bogus".parse::<Scheduler>().is_err());
-        assert_eq!(Scheduler::default(), Scheduler::Calendar);
+        let stats = queue.stats();
+        assert_eq!(stats.pushes, 10);
+        assert_eq!(stats.pops, 4);
+        assert_eq!(stats.max_pending, 10);
+        assert_eq!(stats.pushes - stats.pops, queue.len() as u64);
+        assert_eq!(stats.buckets, BUCKET_COUNT as u64);
     }
 
     #[test]
@@ -772,29 +655,17 @@ mod tests {
         // A miniature deterministic version of the property test: bursty
         // same-instant pushes interleaved with pops, checked against the
         // heap oracle event by event.
-        let mut calendar: CalendarQueue<u32> = CalendarQueue::new();
-        let mut heap: HeapEventQueue<u32> = HeapEventQueue::new();
+        let mut queue = Lockstep::new();
         let times: Vec<u64> = (0..400)
             .map(|i: u64| (i * 7919) % 97 * 250_000_000) // bursty, 0..24.25 s
             .collect();
         for (round, &nanos) in times.iter().enumerate() {
-            let time = SimTime::from_nanos(nanos);
             let payload = u32::try_from(round).expect("small test index");
-            calendar.push(time, payload);
-            heap.push(time, payload);
+            queue.push(SimTime::from_nanos(nanos), payload);
             if round % 3 == 0 {
-                let a = calendar.pop();
-                let b = heap.pop();
-                assert_eq!(a, b);
+                queue.pop();
             }
         }
-        loop {
-            let a = calendar.pop();
-            let b = heap.pop();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
+        while queue.pop().is_some() {}
     }
 }

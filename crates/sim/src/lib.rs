@@ -9,9 +9,10 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time.
 //! * [`SimClock`] — a monotonically advancing clock handle.
-//! * [`EventQueue`] / [`Engine`] — a discrete-event scheduler backed by a
-//!   calendar queue (rotating wheel of time buckets), with the original
-//!   binary heap retained as a bit-compatible [`Scheduler::Heap`] backend.
+//! * [`Engine`] — a discrete-event scheduler running on a
+//!   [`CalendarQueue`] (rotating wheel of time buckets); the original
+//!   binary heap survives as [`HeapEventQueue`], the oracle the
+//!   order-equivalence tests compare it against.
 //! * [`EventPool`] — a recyclable slab so big event payloads travel as
 //!   4-byte slot ids instead of per-event boxes.
 //! * [`Trace`] — an append-only record of what happened and when, used by
@@ -52,7 +53,7 @@ pub mod trace;
 
 pub use clock::SimClock;
 pub use engine::Engine;
-pub use event::{CalendarQueue, EventQueue, HeapEventQueue, QueueStats, ScheduledEvent, Scheduler};
+pub use event::{CalendarQueue, HeapEventQueue, QueueStats, ScheduledEvent};
 pub use network::{Corruption, Delivery, FaultDraw, NetworkConfig, NetworkModel};
 pub use pool::{EventPool, SlotId};
 pub use rng::SimRng;

@@ -2,10 +2,11 @@
 //! binary-heap oracle — same times, same FIFO tie-break — over arbitrary
 //! interleaved push/pop sequences.
 //!
-//! This is the contract the fleet harness's bit-identity guarantee rests
-//! on: `perfbench --scheduler heap` and the default calendar run must
-//! produce byte-identical reports, which holds iff the two queues agree on
-//! the total `(time, sequence)` order for every workload shape.
+//! The fleet harness schedules only on the calendar queue; this property
+//! is what keeps its timelines equal to those of the binary heap it
+//! replaced. The golden fleet fingerprints in
+//! `crates/bench/tests/fleet_determinism.rs` were captured while both
+//! queues could still drive a fleet run, and matched under either.
 
 use erasmus_sim::{CalendarQueue, HeapEventQueue, SimTime};
 use proptest::collection::vec;
