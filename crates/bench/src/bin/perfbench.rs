@@ -5,7 +5,7 @@
 //! each driving an event-driven timeline with an optional lossy network,
 //! device churn and on-demand traffic — prints a throughput summary, runs a
 //! 1→N thread-scaling sweep and writes `BENCH_fleet.json` (schema
-//! `erasmus-perfbench/v9`) at the repository root so successive runs have a
+//! `erasmus-perfbench/v10`) at the repository root so successive runs have a
 //! perf trajectory to compare against.
 //!
 //! Usage:
@@ -14,7 +14,6 @@
 //! perfbench                  # full run (4096 provers per algorithm)
 //! perfbench --quick          # CI-sized run (1000 provers per algorithm)
 //! perfbench --threads 4      # shard the fleet over 4 worker threads
-//! perfbench --lanes 4        # batch same-instant measurements 4 lanes wide
 //! perfbench --provers 20000  # override the fleet size
 //! perfbench --seed 7         # reseed every deterministic draw
 //! perfbench --loss 0.05      # drop 5% of collection/on-demand packets
@@ -37,7 +36,9 @@
 //! zero-copy off the bytes. The fault and recovery flags (`--duplicate`,
 //! `--reorder`, `--corrupt`, `--retries`, `--hub-crash`) exercise the frame
 //! link's ARQ loop, the hub's dedup window and the snapshot-based crash
-//! recovery. Each shard engine schedules on the O(1) calendar queue.
+//! recovery. Each shard engine schedules on the O(1) calendar queue, and
+//! same-instant measurements always hash in lane-interleaved groups (8,
+//! then 4, then scalar for the last 0–3 devices of a cohort).
 //!
 //! Verifier history is a per-device ring: at most `--ring-capacity`
 //! resident entries plus a rollup summary and a PCR-style hash chain over
@@ -55,7 +56,6 @@ use erasmus_sim::{NetworkConfig, SimDuration};
 struct Options {
     quick: bool,
     threads: usize,
-    lanes: usize,
     provers: Option<usize>,
     rounds: Option<usize>,
     memory_bytes: Option<usize>,
@@ -74,8 +74,8 @@ struct Options {
 }
 
 fn usage() -> &'static str {
-    "usage: perfbench [--quick] [--threads N] [--lanes N] [--provers N] [--rounds N]\n\
-     \x20                [--memory BYTES] [--seed N] [--loss P] [--latency MS] [--churn P]\n\
+    "usage: perfbench [--quick] [--threads N] [--provers N] [--rounds N] [--memory BYTES]\n\
+     \x20                [--seed N] [--loss P] [--latency MS] [--churn P]\n\
      \x20                [--duplicate P] [--reorder P] [--corrupt P] [--retries N]\n\
      \x20                [--hub-crash N] [--on-demand N] [--ring-capacity N] [--out PATH]\n\
      \n\
@@ -84,11 +84,9 @@ fn usage() -> &'static str {
      worker threads running event-driven timelines, then writes the\n\
      BENCH_fleet.json throughput trajectory (default: repository root)\n\
      including a 1..N thread-scaling sweep.\n\
-     --threads, --lanes, --provers and --rounds must be at least 1;\n\
-     --memory must be at least 1 byte. --lanes is an upper bound on the\n\
-     multi-lane hash width: same-instant measurements batch in lockstep\n\
-     groups of the widest supported width (8 or 4) not exceeding it, with\n\
-     totals bit-identical to the scalar path. Collection bursts reach the\n\
+     --threads, --provers and --rounds must be at least 1; --memory must\n\
+     be at least 1 byte. Same-instant measurements hash in lane-interleaved\n\
+     groups of 8, then 4, then scalar. Collection bursts reach the\n\
      verifier hub as encoded batch frames, verified zero-copy off the\n\
      bytes. --loss, --churn, --duplicate, --reorder and --corrupt are\n\
      probabilities in [0, 1]; --latency is the base link latency in\n\
@@ -105,7 +103,6 @@ fn parse_args() -> Result<Options, String> {
     let mut options = Options {
         quick: false,
         threads: 1,
-        lanes: 1,
         provers: None,
         rounds: None,
         memory_bytes: None,
@@ -130,7 +127,6 @@ fn parse_args() -> Result<Options, String> {
         match arg.as_str() {
             "--quick" => options.quick = true,
             "--threads" => options.threads = numeric(value_for("--threads")?, "--threads", 1)?,
-            "--lanes" => options.lanes = numeric(value_for("--lanes")?, "--lanes", 1)?,
             "--provers" => {
                 options.provers = Some(numeric(value_for("--provers")?, "--provers", 1)?);
             }
@@ -251,7 +247,6 @@ fn config_for(options: &Options, algorithm: MacAlgorithm) -> FleetConfig {
     config.retries = options.retries;
     config.hub_crashes = options.hub_crashes;
     config.on_demand = options.on_demand;
-    config.lanes = options.lanes;
     if let Some(ring_capacity) = options.ring_capacity {
         config.ring_capacity = ring_capacity;
     }
@@ -281,14 +276,13 @@ fn main() -> ExitCode {
             let config = config_for(&options, algorithm);
             eprintln!(
                 "perfbench: {algorithm}: {} provers x {} measurements x {} rounds on {} thread(s) \
-                 x {} lane(s), ring({}) history (seed {}, loss {}, dup {}, \
+                 ring({}) history (seed {}, loss {}, dup {}, \
                  reorder {}, corrupt {}, latency {} ms, churn {}, retries {}, hub-crashes {}, \
                  on-demand {}) ...",
                 config.provers,
                 config.measurements_per_round,
                 config.rounds,
                 options.threads,
-                fleet::lanes::effective_width(config.lanes),
                 config.ring_capacity,
                 config.seed,
                 config.network.loss,
@@ -301,15 +295,7 @@ fn main() -> ExitCode {
                 config.hub_crashes,
                 config.on_demand,
             );
-            let mut report = fleet::run_threaded(&config, options.threads);
-            // Attach the scalar-vs-lane digest probe so the JSON records
-            // what the lane-interleaved cores buy at this memory size.
-            report.lane_speedup = Some(fleet::lanes::measure(
-                algorithm,
-                config.memory_bytes,
-                config.lanes,
-            ));
-            report
+            fleet::run_threaded(&config, options.threads)
         })
         .collect();
 
@@ -341,16 +327,6 @@ fn main() -> ExitCode {
             report.aggregation.nodes,
             report.aggregation.depth,
         );
-        if let Some(probe) = &report.lane_speedup {
-            eprintln!(
-                "perfbench: {}: lane probe x{}: scalar {:.0} meas/s, lanes {:.0} meas/s ({:.2}x)",
-                report.config.algorithm,
-                probe.lanes,
-                probe.scalar_per_sec,
-                probe.lane_per_sec,
-                probe.speedup,
-            );
-        }
     }
 
     print!("{}", fleet::render(&reports));

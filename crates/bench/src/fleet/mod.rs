@@ -27,12 +27,14 @@
 //! *global* device index, totals are thread-count-invariant by
 //! construction, lossy runs included.
 //!
-//! With `lanes` ≥ 4 each shard coalesces same-instant measurements —
-//! devices sharing a stagger-group offset — into lane-interleaved hash jobs
+//! Each shard coalesces same-instant measurements — devices sharing a
+//! stagger-group offset — into lane-interleaved hash jobs
 //! ([`erasmus_crypto::Sha256xN`] via
-//! [`erasmus_core::Measurement::compute_keyed_batch`]), falling back to the
-//! scalar path for ragged remainders; totals stay bit-identical at every
-//! lane width (see [`lanes`]).
+//! [`erasmus_core::Measurement::compute_keyed_batch`]): 8-wide groups, then
+//! one 4-wide group, then the scalar path for the ragged remainder. The
+//! width follows the cohort size; every measurement is bit-identical to
+//! the scalar one. The `multi_buffer` criterion group times scalar against
+//! lane hashing.
 //!
 //! Injected faults ride the same deterministic draws: duplicated frames
 //! are deduplicated by the hubs' per-flow sequence windows, reordered
@@ -58,20 +60,18 @@
 //! digest ([`AggregationReport`]).
 //!
 //! Shard results are merged into one [`FleetReport`]; the per-thread
-//! breakdown, the per-algorithm scalar-vs-lane speedup probe and the 1→N
-//! scaling sweep (see [`scaling`]) are serialized by the `perfbench` binary
-//! into `BENCH_fleet.json` (schema `erasmus-perfbench/v9`) so successive
-//! runs accumulate a perf trajectory.
+//! breakdown and the 1→N scaling sweep (see [`scaling`]) are serialized by
+//! the `perfbench` binary into `BENCH_fleet.json` (schema
+//! `erasmus-perfbench/v10`) so successive runs accumulate a perf
+//! trajectory.
 //!
 //! Each shard engine schedules on the calendar queue
 //! ([`erasmus_sim::CalendarQueue`]).
 
-pub mod lanes;
 pub mod reservoir;
 pub mod scaling;
 mod shard;
 
-pub use lanes::LaneSpeedup;
 pub use reservoir::{LatencyReservoir, RESERVOIR_CAP};
 pub use shard::ShardReport;
 
@@ -136,12 +136,6 @@ pub struct FleetConfig {
     /// Fleet-wide count of authenticated on-demand requests (ERASMUS+OD)
     /// injected at deterministic instants during the run.
     pub on_demand: usize,
-    /// Upper bound on the lane width for batched measurement hashing: 1
-    /// runs the scalar per-device path; ≥ 4 coalesces same-instant
-    /// measurements into lane-interleaved hash jobs of the widest supported
-    /// width not exceeding this value (see [`lanes::effective_width`]).
-    /// Totals are bit-identical at every width.
-    pub lanes: usize,
     /// Resident history entries per device: older entries are sealed into
     /// the device's hash chain and evicted, so verifier state is
     /// O(capacity) per device. Lifetime totals (`history_entries`, verdict
@@ -174,7 +168,6 @@ impl FleetConfig {
             retries: 0,
             hub_crashes: 0,
             on_demand: 0,
-            lanes: 1,
             ring_capacity: DEFAULT_RING_CAPACITY,
         }
     }
@@ -406,8 +399,8 @@ pub struct FleetReport {
     pub on_demand_p99: SimDuration,
     /// Devices that left and rejoined during the run.
     pub devices_churned: u64,
-    /// Multi-lane hash jobs executed across all shards (0 when `lanes` is
-    /// 1 or no cohort filled a lane group).
+    /// Multi-lane hash jobs executed across all shards (0 when no cohort
+    /// had 4 devices due at one instant).
     pub lane_jobs: u64,
     /// Measurements that fell back to the scalar path as ragged cohort
     /// remainders (fewer than 4 devices left after the lane groups);
@@ -433,9 +426,6 @@ pub struct FleetReport {
     /// shards, `max_pending` the per-shard maximum, plus the calendar
     /// queue's bucket geometry.
     pub queue: QueueStats,
-    /// Scalar-vs-lane digest throughput probe, attached by `perfbench`
-    /// (`None` for plain `run_threaded` calls).
-    pub lane_speedup: Option<LaneSpeedup>,
     /// Per-shard breakdown, in shard order.
     pub shards: Vec<ShardReport>,
 }
@@ -721,7 +711,6 @@ pub fn run_threaded(config: &FleetConfig, threads: usize) -> FleetReport {
         coalesced_events,
         event_pool_high_water,
         queue,
-        lane_speedup: None,
         shards: shard_reports,
     }
 }
@@ -742,7 +731,6 @@ pub fn report_json(report: &FleetReport, indent: &str) -> String {
          {indent}  \"memory_bytes\": {memory},\n\
          {indent}  \"stagger_groups\": {groups},\n\
          {indent}  \"threads\": {threads},\n\
-         {indent}  \"lanes\": {lanes},\n\
          {indent}  \"seed\": {seed},\n\
          {indent}  \"network\": {{ \"latency_ms\": {lat:.3}, \"jitter_ms\": {jit:.3}, \"loss\": {loss}, \
          \"duplicate\": {dup}, \"reorder\": {reord}, \"corrupt\": {corr} }},\n\
@@ -773,7 +761,6 @@ pub fn report_json(report: &FleetReport, indent: &str) -> String {
          \"decode_mib_per_sec\": {wmibs:.3} }},\n\
          {indent}  \"lane_jobs\": {lane_jobs},\n\
          {indent}  \"lane_remainder\": {lane_remainder},\n\
-         {indent}  \"lane_speedup\": {lane_speedup},\n\
          {indent}  \"events\": {{ \"scheduled\": {ev_sched}, \"singleton\": {ev_single}, \
          \"coalesced\": {ev_coal}, \"pool_high_water\": {ev_pool}, \
          \"queue_pushes\": {q_push}, \"queue_pops\": {q_pop}, \
@@ -802,7 +789,6 @@ pub fn report_json(report: &FleetReport, indent: &str) -> String {
         memory = report.config.memory_bytes,
         groups = report.config.stagger_groups,
         threads = report.threads,
-        lanes = lanes::effective_width(report.config.lanes),
         seed = report.config.seed,
         lat = report.config.network.base_latency.as_millis_f64(),
         jit = report.config.network.jitter.as_millis_f64(),
@@ -860,10 +846,6 @@ pub fn report_json(report: &FleetReport, indent: &str) -> String {
         q_max = report.queue.max_pending,
         q_buckets = report.queue.buckets,
         q_width = report.queue.bucket_width_nanos,
-        lane_speedup = report
-            .lane_speedup
-            .as_ref()
-            .map_or_else(|| "null".to_owned(), LaneSpeedup::to_json),
         churned = report.devices_churned,
         od_att = report.on_demand_attempted,
         od_done = report.on_demand_completed,
@@ -905,17 +887,14 @@ pub fn document_json(
 ) -> String {
     let provers = reports.first().map_or(0, |r| r.config.provers);
     let seed = reports.first().map_or(DEFAULT_SEED, |r| r.config.seed);
-    let lane_width = reports
-        .first()
-        .map_or(1, |r| lanes::effective_width(r.config.lanes));
     let ring_capacity = reports
         .first()
         .map_or(DEFAULT_RING_CAPACITY, |r| r.config.ring_capacity.max(1));
     let entries: Vec<String> = reports.iter().map(|r| report_json(r, "    ")).collect();
     let scaling_entries: Vec<String> = sweep.iter().map(|point| point.to_json("    ")).collect();
     format!(
-        "{{\n  \"schema\": \"erasmus-perfbench/v9\",\n  \"mode\": \"{mode}\",\n  \
-         \"provers\": {provers},\n  \"threads\": {threads},\n  \"lanes\": {lane_width},\n  \
+        "{{\n  \"schema\": \"erasmus-perfbench/v10\",\n  \"mode\": \"{mode}\",\n  \
+         \"provers\": {provers},\n  \"threads\": {threads},\n  \
          \"ring_capacity\": {ring_capacity},\n  \"seed\": {seed},\n  \
          \"results\": [\n{}\n  ],\n  \"scaling\": [\n{}\n  ]\n}}\n",
         entries.join(",\n"),
@@ -1301,15 +1280,21 @@ mod tests {
         }];
         let doc = document_json("test", 2, std::slice::from_ref(&report), &sweep);
         assert!(doc.starts_with("{\n"));
-        assert!(doc.contains("\"schema\": \"erasmus-perfbench/v9\""));
-        assert!(doc.contains("\"ring_capacity\": 64,\n"));
+        assert!(doc.contains("\"schema\": \"erasmus-perfbench/v10\""));
+        assert!(doc.contains("\n  \"ring_capacity\": 64,\n"));
         assert!(doc.contains(
             "\"history\": { \"ring_capacity\": 64, \"resident\": 32, \
              \"evictions\": 0, \"stale_discards\": 0, \"chains_verified\": 8, \
              \"resident_state_bytes\": "
         ));
-        for dropped in ["\"delivery\"", "\"scheduler\"", "\"mode\": \"unbounded\""] {
-            assert!(!doc.contains(dropped), "{dropped} left v9");
+        for dropped in [
+            "\"delivery\"",
+            "\"scheduler\"",
+            "\"mode\": \"unbounded\"",
+            "\"lanes\"",
+            "\"scalar_measurements_per_sec\"",
+        ] {
+            assert!(!doc.contains(dropped), "{dropped} is gone from the schema");
         }
         assert!(doc.contains(
             "\"aggregation\": { \"fanout\": 64, \"leaves\": 8, \
@@ -1324,9 +1309,7 @@ mod tests {
         assert!(doc.contains("\"decoded_accepted\""));
         assert!(doc.contains("\"decode_rejects\": 0"));
         assert!(doc.contains("\"decode_mib_per_sec\""));
-        assert!(doc.contains("\"lanes\": 1"));
         assert!(doc.contains("\"lane_jobs\": 0"));
-        assert!(doc.contains("\"lane_speedup\": null"));
         assert!(doc.contains("\"mode\": \"test\""));
         assert!(doc.contains("\"provers\": 8"));
         assert!(doc.contains("\"threads\": 2"));
@@ -1408,30 +1391,25 @@ mod tests {
 
     #[test]
     fn coalescing_ledger_conserves_scheduled_events() {
-        // coalesced + singleton == scheduled at every lane width — and with
-        // more devices than stagger groups the cohort path must actually
-        // save queue slots.
-        for lanes in [1usize, 8] {
-            let mut config = tiny(MacAlgorithm::HmacSha256);
-            config.provers = 64;
-            config.stagger_groups = 4;
-            config.lanes = lanes;
-            let report = run_threaded(&config, 2);
-            assert_eq!(
-                report.coalesced_events + report.singleton_events,
-                report.events_scheduled,
-                "lanes={lanes}"
-            );
-            assert_eq!(report.events_scheduled, report.measurements_total);
-            assert!(
-                report.coalesced_events > 0,
-                "16 devices per stagger group must coalesce (lanes={lanes})"
-            );
-            assert!(report.event_pool_high_water > 0);
-            // Queue accounting: every push is eventually popped.
-            assert_eq!(report.queue.pushes, report.queue.pops);
-            assert!(report.queue.max_pending > 0);
-        }
+        // coalesced + singleton == scheduled — and with more devices than
+        // stagger groups the cohort path must actually save queue slots.
+        let mut config = tiny(MacAlgorithm::HmacSha256);
+        config.provers = 64;
+        config.stagger_groups = 4;
+        let report = run_threaded(&config, 2);
+        assert_eq!(
+            report.coalesced_events + report.singleton_events,
+            report.events_scheduled
+        );
+        assert_eq!(report.events_scheduled, report.measurements_total);
+        assert!(
+            report.coalesced_events > 0,
+            "16 devices per stagger group must coalesce"
+        );
+        assert!(report.event_pool_high_water > 0);
+        // Queue accounting: every push is eventually popped.
+        assert_eq!(report.queue.pushes, report.queue.pops);
+        assert!(report.queue.max_pending > 0);
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! shard's [`VerifierHub`] straight off the bytes through
 //! [`VerifierHub::ingest_sequenced_frame`], verifying each record
 //! zero-copy off the frame. On-demand reports, verified when they arrive,
-//! join the same burst and fold in through [`VerifierHub::ingest_batch`].
+//! join the same burst and fold in one by one through
+//! [`VerifierHub::ingest`] after the burst's frames.
 //!
 //! # Reliability
 //!
@@ -71,8 +72,9 @@
 //!   run cannot grow the pools unboundedly (the fleet determinism tests
 //!   assert the high-water mark).
 //! * Self-measurements are coalesced at insertion: one `MeasureCohort`
-//!   event per (instant, stagger cohort) in *every* mode (the scalar path
-//!   simply runs width-1 jobs), instead of one queue entry per device.
+//!   event per (instant, stagger cohort), instead of one queue entry per
+//!   device. A cohort's due devices hash in 8-wide lane groups, then one
+//!   4-wide group, then scalar for the last 0–3.
 //!   The per-shard ledger keeps the conservation invariant
 //!   `coalesced_events + singleton_events == events_scheduled`.
 
@@ -189,9 +191,9 @@ impl DeviceState {
 /// how much evidence it moves.
 enum FleetEvent {
     /// A stagger cohort's scheduled self-measurements are due: every active
-    /// member measures at this instant — in lane-interleaved groups when
-    /// lanes are on, scalar width-1 jobs otherwise. One queue slot per
-    /// (instant, cohort), coalesced at insertion.
+    /// member measures at this instant, in lane-interleaved groups with a
+    /// scalar remainder. One queue slot per (instant, cohort), coalesced at
+    /// insertion.
     MeasureCohort { cohort: usize },
     /// The verifier's collection request reaches a device.
     CollectArrive { device: usize },
@@ -279,7 +281,7 @@ struct RunState {
     od_dropped: u64,
     od_latencies: LatencyReservoir,
     /// Verified on-demand reports of the current burst awaiting
-    /// `ingest_batch`.
+    /// `VerifierHub::ingest`.
     pending: Vec<CollectionReport>,
     /// Raw collection responses of the current burst awaiting frame
     /// encode + ingest.
@@ -441,8 +443,6 @@ pub(crate) struct Shard {
     churn: Vec<(usize, SimTime, SimTime)>,
     /// `(local index, issue instant)` on-demand plan, sorted by time.
     on_demand: Vec<(usize, SimTime)>,
-    /// Effective lane width for batched measurement (1 = scalar jobs).
-    lane_width: usize,
     /// Stagger cohorts (one per phase offset present in this shard).
     cohorts: Vec<Cohort>,
     /// Local device index → cohort index.
@@ -539,11 +539,11 @@ pub struct ShardReport {
     pub on_demand_latencies: LatencyReservoir,
     /// Devices of this shard that leave and rejoin during the run.
     pub devices_churned: u64,
-    /// Multi-lane hash jobs this shard executed (lane-batched mode).
+    /// Multi-lane hash jobs this shard executed.
     pub lane_jobs: u64,
     /// Measurements that fell back to the scalar path as the ragged
-    /// remainder of a lane-batched cohort (fewer than 4 devices left after
-    /// the lane groups). Catch-up drains outside the cohort path (e.g. a
+    /// remainder of a cohort (fewer than 4 devices left after the lane
+    /// groups). Catch-up drains outside the cohort path (e.g. a
     /// device collected mid-lattice under extreme latency) are scalar too
     /// but are not counted here.
     pub lane_remainder: u64,
@@ -690,10 +690,8 @@ impl Shard {
 
         // Group the shard's devices into stagger cohorts — one cohort per
         // phase offset, i.e. per set of devices whose measurements are due
-        // at the same simulated instants. Cohorts drive measurement in
-        // every mode: the queue holds one coalesced event per (instant,
-        // cohort) whether the jobs then run lane-batched or scalar.
-        let lane_width = super::lanes::effective_width(config.lanes);
+        // at the same simulated instants. The queue holds one coalesced
+        // event per (instant, cohort).
         let mut cohorts: Vec<Cohort> = Vec::new();
         let mut cohort_of: Vec<usize> = Vec::with_capacity(devices.len());
         let mut by_group: std::collections::BTreeMap<usize, usize> =
@@ -719,7 +717,6 @@ impl Shard {
             engine: Engine::new(),
             churn,
             on_demand,
-            lane_width,
             cohorts,
             cohort_of,
         }
@@ -918,9 +915,8 @@ impl Shard {
                 // If this device's cohort is due at this very instant, fire
                 // the whole batch first — otherwise the per-device drain
                 // below would take this device's measurement scalar and
-                // shrink the lane group (and, in every mode, cohort members
-                // must measure before any same-instant collection reads a
-                // buffer).
+                // shrink the lane group (and cohort members must measure
+                // before any same-instant collection reads a buffer).
                 let cohort = self.cohort_of[device];
                 if self.cohorts[cohort].scheduled == Some(now) {
                     self.cohorts[cohort].scheduled = None;
@@ -1160,12 +1156,12 @@ impl Shard {
     }
 
     /// Fires every due measurement of a stagger cohort at `now` as
-    /// lane-interleaved batch jobs: groups of `lane_width` (with a narrower
-    /// 4-lane pass when an 8-lane shard leaves 4–7 devices over) hash their
-    /// memory images in lockstep through `Prover::self_measure_batch`; the
-    /// ragged remainder falls back to the scalar path. Every device's
-    /// measurement is bit-identical to the scalar timeline, so totals,
-    /// health and hub coverage do not depend on the lane width.
+    /// lane-interleaved batch jobs: groups of 8 (then one group of 4 when
+    /// 4–7 devices are left over) hash their memory images in lockstep
+    /// through `Prover::self_measure_batch`; the ragged remainder falls back
+    /// to the scalar path. Every device's measurement is bit-identical to
+    /// the scalar one, so totals, health and hub coverage do not depend on
+    /// how a cohort splits into groups.
     fn measure_cohort(
         &mut self,
         engine: &mut Engine<FleetEvent>,
@@ -1201,19 +1197,15 @@ impl Shard {
             state.coalesced_events += due.len() as u64 - 1;
             let started = Instant::now();
             let mut rest: &[usize] = &due;
-            if self.lane_width >= 8 {
-                while rest.len() >= 8 {
-                    let (group, tail) = rest.split_at(8);
-                    self.measure_lane_group::<8>(group.try_into().expect("8 lanes"), now, state);
-                    rest = tail;
-                }
+            while rest.len() >= 8 {
+                let (group, tail) = rest.split_at(8);
+                self.measure_lane_group::<8>(group.try_into().expect("8 lanes"), now, state);
+                rest = tail;
             }
-            if self.lane_width >= 4 {
-                while rest.len() >= 4 {
-                    let (group, tail) = rest.split_at(4);
-                    self.measure_lane_group::<4>(group.try_into().expect("4 lanes"), now, state);
-                    rest = tail;
-                }
+            if rest.len() >= 4 {
+                let (group, tail) = rest.split_at(4);
+                self.measure_lane_group::<4>(group.try_into().expect("4 lanes"), now, state);
+                rest = tail;
             }
             for &local in rest {
                 self.devices.provers[local]
@@ -1221,9 +1213,7 @@ impl Shard {
                     .expect("fleet measurement");
                 self.devices.next_due[local] = self.devices.provers[local].next_measurement_due();
                 state.measurements += 1;
-                if self.lane_width > 1 {
-                    state.lane_remainder += 1;
-                }
+                state.lane_remainder += 1;
             }
             state.measure_wall += started.elapsed();
         }
@@ -1327,7 +1317,8 @@ impl Shard {
     /// link by [`Shard::deliver_frame`]'s ARQ loop, which verifies each
     /// record zero-copy off the frame, at the burst's arrival instant, by
     /// the device's own verifier. The already-verified on-demand reports
-    /// then fold in via `ingest_batch`. A mixed burst counts as *one* batch
+    /// then fold in through `VerifierHub::ingest`, in arrival order. A mixed
+    /// burst counts as *one* batch
     /// with its combined size. Encoding is timed separately
     /// (`encode_wall`); the ingest span lands in both `wire_ingest_wall`
     /// and `verify_wall`.
@@ -1362,10 +1353,8 @@ impl Shard {
             state.pending_responses = responses;
             state.frame_buf = frame;
         }
-        if !state.pending.is_empty() {
-            let outcome = self.hub.ingest_batch(state.pending.iter());
-            state.all_healthy &= outcome.rejected == 0;
-            state.pending.clear();
+        for report in state.pending.drain(..) {
+            state.all_healthy &= self.hub.ingest(&report);
         }
         state.batches += 1;
         state.largest_batch = state.largest_batch.max(burst);
@@ -1750,72 +1739,119 @@ mod tests {
         assert!(report.all_healthy);
     }
 
+    /// The shard's histories folded to one digest: the aggregation root
+    /// over every device's chain head.
+    fn root_digest(hub: &VerifierHub) -> String {
+        super::super::AggregationReport::from_hub(hub).root_digest
+    }
+
     #[test]
     fn lane_batched_shard_is_observationally_identical_to_scalar() {
-        // 24 devices over 3 stagger groups → cohorts of 8 per instant:
-        // enough for full 8-lane jobs, 4-lane jobs and scalar remainders at
-        // the narrower widths.
-        for alg in [MacAlgorithm::HmacSha256, MacAlgorithm::KeyedBlake2s] {
+        // 24 devices over 3 stagger groups → cohorts of 8 per instant, so
+        // every measurement rides a full 8-lane job. The expected values
+        // were captured from the scalar per-device path (one
+        // `self_measure` per device) while it still existed.
+        for (alg, simulated_busy_nanos) in [
+            (MacAlgorithm::HmacSha256, 29_660_136_000),
+            (MacAlgorithm::KeyedBlake2s, 20_660_712_000),
+        ] {
             let config = FleetConfig::new(24, 3, 2, 256, 3, alg);
-            let mut scalar_shard = shard_for(&config, 0..24, 0);
-            let scalar = scalar_shard.run(&config);
-            assert_eq!(scalar.lane_jobs, 0);
-            let scalar_hub = scalar_shard.into_hub();
-            for lanes in [4usize, 8] {
-                let mut config = config.clone();
-                config.lanes = lanes;
-                let mut shard = shard_for(&config, 0..24, 0);
-                let report = shard.run(&config);
-                assert_eq!(report.measurements, scalar.measurements, "{alg} x{lanes}");
-                assert_eq!(report.verifications, scalar.verifications, "{alg} x{lanes}");
-                assert_eq!(report.all_healthy, scalar.all_healthy, "{alg} x{lanes}");
-                assert_eq!(
-                    report.simulated_busy, scalar.simulated_busy,
-                    "{alg} x{lanes}"
-                );
-                assert!(report.lane_jobs > 0, "{alg} x{lanes} batched nothing");
-                // The verifier side learned byte-identical histories.
-                let hub = shard.into_hub();
-                assert_eq!(hub.len(), scalar_hub.len());
-                assert_eq!(hub.total_entries(), scalar_hub.total_entries());
-                for id in 0..24u64 {
-                    let batched: Vec<_> = hub
-                        .history(DeviceId::new(id))
-                        .expect("tracked")
-                        .entries()
-                        .collect();
-                    let reference: Vec<_> = scalar_hub
-                        .history(DeviceId::new(id))
-                        .expect("tracked")
-                        .entries()
-                        .collect();
-                    assert_eq!(batched, reference, "{alg} x{lanes} device {id}");
-                }
-            }
+            let mut shard = shard_for(&config, 0..24, 0);
+            let report = shard.run(&config);
+            assert_eq!(report.measurements, 144, "{alg}");
+            assert_eq!(report.verifications, 144, "{alg}");
+            assert!(report.all_healthy, "{alg}");
+            assert_eq!(
+                report.simulated_busy.as_nanos(),
+                simulated_busy_nanos,
+                "{alg}"
+            );
+            assert_eq!((report.lane_jobs, report.lane_remainder), (18, 0), "{alg}");
+            // The verifier side learned the scalar path's histories.
+            let hub = shard.into_hub();
+            assert_eq!(hub.len(), 24, "{alg}");
+            assert_eq!(hub.total_entries(), 144, "{alg}");
+            assert_eq!(
+                root_digest(&hub),
+                "6c8e7a20b33fc5172c18f8dab23c0419b6eccc9bff14eba1c527d08a717e0f71",
+                "{alg}"
+            );
         }
     }
 
     #[test]
     fn lane_batched_shard_handles_churn_and_ragged_cohorts() {
         // 10 devices in 2 groups → cohorts of 5: one 4-lane job plus one
-        // scalar remainder per instant; churn shrinks cohorts mid-run.
+        // scalar remainder per instant; churn shrinks cohorts mid-run. The
+        // expected values were captured from the scalar per-device path.
         let mut config = FleetConfig::new(10, 2, 3, 128, 2, MacAlgorithm::HmacSha256);
         config.churn = 0.6;
         config.seed = 11;
-        let scalar = shard_for(&config, 0..10, 0).run(&config);
-        config.lanes = 4;
         let mut shard = shard_for(&config, 0..10, 0);
         let report = shard.run(&config);
-        assert!(report.devices_churned > 0, "plan drew no churners");
-        assert_eq!(report.measurements, scalar.measurements);
-        assert_eq!(report.verifications, scalar.verifications);
-        assert_eq!(report.simulated_busy, scalar.simulated_busy);
-        assert_eq!(report.collections_dropped, scalar.collections_dropped);
-        assert!(report.lane_jobs > 0);
-        assert!(
-            report.lane_remainder > 0,
-            "no scalar remainder in a 5-cohort"
+        assert_eq!(report.devices_churned, 5);
+        assert_eq!(report.measurements, 56);
+        assert_eq!(report.verifications, 54);
+        assert_eq!(report.simulated_busy.as_nanos(), 6_666_893_000);
+        assert_eq!(report.collections_dropped, 3);
+        assert!(report.all_healthy);
+        assert_eq!((report.lane_jobs, report.lane_remainder), (11, 12));
+        let hub = shard.into_hub();
+        assert_eq!(hub.total_entries(), 53);
+        assert_eq!(
+            root_digest(&hub),
+            "6184f2a128f6642b8f223a1764b69a47b5288552f483112606a4e08ce3133d5b"
         );
+    }
+
+    #[test]
+    fn fifteen_device_cohort_splits_into_eight_four_and_three_scalar() {
+        // One stagger group: all 15 devices are due at every instant, which
+        // fires as one 8-lane job, one 4-lane job and 3 scalar
+        // measurements. Four measurement instants (10 s … 40 s) give 8 lane
+        // jobs and 12 remainder measurements; every device then holds the
+        // same all-healthy history the scalar path produced.
+        for (alg, simulated_busy_nanos) in [
+            (MacAlgorithm::HmacSha1, 11_134_050_000),
+            (MacAlgorithm::HmacSha256, 12_370_890_000),
+            (MacAlgorithm::KeyedBlake2s, 8_621_130_000),
+        ] {
+            let config = FleetConfig::new(15, 2, 2, 256, 1, alg);
+            let mut shard = shard_for(&config, 0..15, 0);
+            let report = shard.run(&config);
+            assert_eq!((report.lane_jobs, report.lane_remainder), (8, 12), "{alg}");
+            assert_eq!(report.measurements, 60, "{alg}");
+            assert_eq!(report.verifications, 60, "{alg}");
+            assert_eq!(
+                report.simulated_busy.as_nanos(),
+                simulated_busy_nanos,
+                "{alg}"
+            );
+            assert!(report.all_healthy, "{alg}");
+
+            let secs = SimTime::from_secs;
+            let expected: Vec<(SimTime, MeasurementVerdict, SimTime)> = vec![
+                (secs(10), MeasurementVerdict::Healthy, secs(20)),
+                (secs(20), MeasurementVerdict::Healthy, secs(20)),
+                (secs(30), MeasurementVerdict::Healthy, secs(40)),
+                (secs(40), MeasurementVerdict::Healthy, secs(40)),
+            ];
+            let hub = shard.into_hub();
+            for id in 0..15u64 {
+                let history: Vec<_> = hub
+                    .history(DeviceId::new(id))
+                    .expect("tracked")
+                    .entries()
+                    .map(|entry| (entry.timestamp, entry.verdict, entry.collected_at))
+                    .collect();
+                assert_eq!(history, expected, "{alg} device {id}");
+            }
+            assert_eq!(
+                root_digest(&hub),
+                "827287e7c679b99de35afc2ada3676c3213b2f47a18d623d55cc3da7b5b419d5",
+                "{alg}"
+            );
+        }
     }
 
     #[test]

@@ -90,11 +90,11 @@ impl<'a> Fingerprint<'a> {
     }
 }
 
-/// Golden fingerprints of `config(HmacSha256)` at 1 and 4 threads (lane
-/// width does not move them). They were captured while the fleet runtime
-/// still offered struct delivery, the binary-heap scheduler and unbounded
-/// history, and every combination of those modes — with ring(64) history
-/// too — reproduced them at lanes 1 and 8. With the modes deleted, these
+/// Golden fingerprints of `config(HmacSha256)` at 1 and 4 threads. They
+/// were captured while the fleet runtime still offered struct delivery,
+/// the binary-heap scheduler, unbounded history and a scalar measurement
+/// path, and every combination of those modes — with ring(64) history too
+/// — reproduced them at lane widths 1 and 8. With the modes deleted, these
 /// constants are what detects a change in behaviour.
 const LOSSLESS_GOLDEN: [(usize, Fingerprint<'static>); 2] = [
     (
@@ -195,22 +195,19 @@ fn golden_fingerprints_survive_ring_eviction() {
         ("hostile", hostile_config(), 8, &HOSTILE_GOLDEN),
     ] {
         for threads in [1usize, 4] {
-            for lanes in [1usize, 8] {
-                let mut config = config.clone();
-                config.lanes = lanes;
-                config.ring_capacity = capacity;
-                let report = fleet::run_threaded(&config, threads);
-                let label = format!("{name} ring({capacity}) threads={threads} lanes={lanes}");
-                assert_golden(golden, &report, threads, &label);
-                assert!(report.history_evictions > 0, "{label}: nothing evicted");
-                assert_eq!(report.history_stale_discards, 0, "{label}");
-                assert_eq!(
-                    report.history_evictions + report.history_resident,
-                    report.history_entries,
-                    "{label}"
-                );
-                assert!(report.all_healthy, "{label}");
-            }
+            let mut config = config.clone();
+            config.ring_capacity = capacity;
+            let report = fleet::run_threaded(&config, threads);
+            let label = format!("{name} ring({capacity}) threads={threads}");
+            assert_golden(golden, &report, threads, &label);
+            assert!(report.history_evictions > 0, "{label}: nothing evicted");
+            assert_eq!(report.history_stale_discards, 0, "{label}");
+            assert_eq!(
+                report.history_evictions + report.history_resident,
+                report.history_entries,
+                "{label}"
+            );
+            assert!(report.all_healthy, "{label}");
         }
     }
 }
@@ -381,96 +378,82 @@ fn churn_and_on_demand_stay_thread_invariant() {
 fn lane_batched_runs_reproduce_scalar_totals_bit_for_bit() {
     // The lane-interleaved measurement path must be a pure re-expression of
     // the scalar timeline: identical totals, health, simulated cost and hub
-    // coverage for every algorithm, at 1 and 4 threads, at width 4 and 8.
-    for alg in MacAlgorithm::ALL {
-        let scalar_config = config(alg);
-        let scalar = fleet::run_threaded(&scalar_config, 1);
-        assert_eq!(scalar.lane_jobs, 0);
-        for lanes in [4usize, 8] {
-            for threads in [1usize, 4] {
-                let mut config = scalar_config.clone();
-                config.lanes = lanes;
-                let report = fleet::run_threaded(&config, threads);
-                let label = format!("{alg} lanes={lanes} threads={threads}");
-                assert_eq!(
-                    report.measurements_total, scalar.measurements_total,
-                    "{label}"
-                );
-                assert_eq!(
-                    report.verifications_total, scalar.verifications_total,
-                    "{label}"
-                );
-                assert_eq!(report.all_healthy, scalar.all_healthy, "{label}");
-                assert!(report.all_healthy, "{label}");
-                assert_eq!(report.simulated_busy, scalar.simulated_busy, "{label}");
-                assert_eq!(report.devices_tracked, scalar.devices_tracked, "{label}");
-                assert_eq!(report.history_entries, scalar.history_entries, "{label}");
-                assert_eq!(
-                    report.collections_ingested, scalar.collections_ingested,
-                    "{label}"
-                );
-                assert!(report.lane_jobs > 0, "{label}: no multi-lane job ran");
-            }
+    // coverage for every algorithm, at 1 and 4 threads. The expected
+    // values were captured from the scalar per-device path while it still
+    // existed. At 1 thread each instant's cohort of 24 fills three 8-lane
+    // jobs; at 4 threads each shard's cohort of 6 splits into one 4-lane
+    // job and 2 scalar measurements.
+    for (alg, simulated_busy_nanos) in [
+        (MacAlgorithm::HmacSha1, 195_240_480_000),
+        (MacAlgorithm::HmacSha256, 218_984_352_000),
+        (MacAlgorithm::KeyedBlake2s, 146_988_960_000),
+    ] {
+        for (threads, lane_jobs, lane_remainder) in [(1usize, 72, 0), (4, 96, 192)] {
+            let report = fleet::run_threaded(&config(alg), threads);
+            let label = format!("{alg} threads={threads}");
+            assert_eq!(report.measurements_total, 576, "{label}");
+            assert_eq!(report.verifications_total, 576, "{label}");
+            assert!(report.all_healthy, "{label}");
+            assert_eq!(
+                report.simulated_busy.as_nanos(),
+                simulated_busy_nanos,
+                "{label}"
+            );
+            assert_eq!(report.devices_tracked, 96, "{label}");
+            assert_eq!(report.history_entries, 576, "{label}");
+            assert_eq!(report.collections_ingested, 192, "{label}");
+            assert_eq!(
+                report.aggregation.root_digest, LOSSLESS_GOLDEN[0].1.root_digest,
+                "{label}"
+            );
+            assert_eq!(
+                (report.lane_jobs, report.lane_remainder),
+                (lane_jobs, lane_remainder),
+                "{label}"
+            );
         }
     }
 }
 
 #[test]
 fn lane_batched_scenario_runs_stay_thread_and_lane_invariant() {
-    // Loss, churn and on-demand traffic on top of lane batching: the width
-    // must not change any simulated outcome, and neither must the thread
-    // count at any width.
-    let mut base = config(MacAlgorithm::HmacSha256);
-    base.rounds = 3;
-    base.churn = 0.25;
-    base.on_demand = 16;
-    base.network = NetworkConfig {
+    // Loss, churn and on-demand traffic on top of lane batching: no
+    // simulated outcome may differ from the scalar path's (captured below
+    // while it still existed), at any thread count.
+    let mut config = config(MacAlgorithm::HmacSha256);
+    config.rounds = 3;
+    config.churn = 0.25;
+    config.on_demand = 16;
+    config.network = NetworkConfig {
         base_latency: SimDuration::from_millis(10),
         jitter: SimDuration::from_millis(5),
         loss: 0.05,
         ..NetworkConfig::IDEAL
     };
-    base.seed = 9;
+    config.seed = 9;
 
-    let scalar = fleet::run_threaded(&base, 1);
-    for lanes in [4usize, 8] {
-        let mut config = base.clone();
-        config.lanes = lanes;
-        let single = fleet::run_threaded(&config, 1);
-        let threaded = fleet::run_threaded(&config, 4);
-        for (report, label) in [
-            (&single, format!("lanes={lanes} threads=1")),
-            (&threaded, format!("lanes={lanes} threads=4")),
-        ] {
-            assert_eq!(
-                report.measurements_total, scalar.measurements_total,
-                "{label}"
-            );
-            assert_eq!(
-                report.verifications_total, scalar.verifications_total,
-                "{label}"
-            );
-            assert_eq!(
-                report.collections_delivered, scalar.collections_delivered,
-                "{label}"
-            );
-            assert_eq!(
-                report.collections_dropped, scalar.collections_dropped,
-                "{label}"
-            );
-            assert_eq!(report.devices_churned, scalar.devices_churned, "{label}");
-            assert_eq!(
-                report.on_demand_completed, scalar.on_demand_completed,
-                "{label}"
-            );
-            assert_eq!(report.on_demand_p50, scalar.on_demand_p50, "{label}");
-            assert_eq!(report.on_demand_p99, scalar.on_demand_p99, "{label}");
-            assert_eq!(report.history_entries, scalar.history_entries, "{label}");
-            assert_eq!(report.simulated_busy, scalar.simulated_busy, "{label}");
-            assert_eq!(report.all_healthy, scalar.all_healthy, "{label}");
-        }
-        assert!(single.lane_jobs > 0, "lanes={lanes} batched nothing");
+    let single = fleet::run_threaded(&config, 1);
+    let threaded = fleet::run_threaded(&config, 4);
+    for (report, label) in [(&single, "threads=1"), (&threaded, "threads=4")] {
+        assert_eq!(report.measurements_total, 824, "{label}");
+        assert_eq!(report.verifications_total, 835, "{label}");
+        assert_eq!(report.collections_delivered, 264, "{label}");
+        assert_eq!(report.collections_dropped, 24, "{label}");
+        assert_eq!(report.devices_churned, 32, "{label}");
+        assert_eq!(report.on_demand_completed, 15, "{label}");
+        assert_eq!(report.on_demand_p50.as_nanos(), 24_866_567, "{label}");
+        assert_eq!(report.on_demand_p99.as_nanos(), 26_822_761, "{label}");
+        assert_eq!(report.history_entries, 776, "{label}");
+        assert_eq!(report.simulated_busy.as_nanos(), 314_028_614_000, "{label}");
+        assert_eq!(
+            report.aggregation.root_digest,
+            "4ab51bc8d106bad7741030f9b5d0dd1fa5e99b64dc067b9377878f6de578fe4f",
+            "{label}"
+        );
+        assert!(report.all_healthy, "{label}");
     }
+    assert_eq!((single.lane_jobs, single.lane_remainder), (102, 28));
+    assert_eq!((threaded.lane_jobs, threaded.lane_remainder), (135, 268));
 }
 
 #[test]
@@ -794,8 +777,8 @@ fn churn_under_retransmission_never_replays_stale_evidence() {
     assert_eq!(single.devices_churned, threaded.devices_churned);
 }
 
-/// Asserts every simulated-outcome field that no partition or lane width
-/// may move agrees between two reports: what each device did and what the
+/// Asserts every simulated-outcome field that no partition may move agrees
+/// between two reports: what each device did and what the
 /// verifier side learned, the collect-hop reliability ledger and the
 /// measurement-event count.
 fn assert_same_outcome(a: &FleetReport, b: &FleetReport, label: &str) {
@@ -848,10 +831,10 @@ fn assert_same_timeline(a: &FleetReport, b: &FleetReport, label: &str) {
     assert_eq!(a.queue.pops, b.queue.pops, "{label}");
 }
 
-/// The scheduler acceptance matrix on one configuration: every lane width
-/// × thread count must reproduce the timeline of the scalar run at the same
-/// thread count, the outcome of the single-threaded scalar run, and — at 1
-/// and 4 threads — the golden fingerprint that the calendar queue and the
+/// The scheduler acceptance matrix on one configuration: a rerun at each
+/// thread count must reproduce the first run's timeline, every thread
+/// count must reproduce the single-threaded outcome, and — at 1 and 4
+/// threads — the golden fingerprint that the calendar queue and the
 /// binary-heap oracle both produced when each could drive a fleet.
 fn assert_scheduler_matrix(
     config: &FleetConfig,
@@ -860,27 +843,24 @@ fn assert_scheduler_matrix(
 ) -> Vec<FleetReport> {
     let mut reports: Vec<FleetReport> = Vec::new();
     for threads in [1usize, 2, 4] {
-        let scalar = fleet::run_threaded(config, threads);
-        for lanes in [1usize, 4, 8] {
-            let mut lane_config = config.clone();
-            lane_config.lanes = lanes;
-            let report = fleet::run_threaded(&lane_config, threads);
-            let label = format!("{name} lanes={lanes} threads={threads}");
-            assert_same_timeline(&report, &scalar, &label);
-            if let Some(single_scalar) = reports.first() {
-                assert_same_outcome(&report, single_scalar, &label);
-            }
-            if threads != 2 {
-                assert_golden(golden, &report, threads, &label);
-            }
-            assert_eq!(report.queue.pushes, report.queue.pops, "{label}");
-            assert_eq!(report.queue.buckets, 1024, "{label}");
-            reports.push(report);
+        let report = fleet::run_threaded(config, threads);
+        let label = format!("{name} threads={threads}");
+        assert_same_timeline(&fleet::run_threaded(config, threads), &report, &label);
+        if let Some(single) = reports.first() {
+            assert_same_outcome(&report, single, &label);
         }
+        if threads != 2 {
+            assert_golden(golden, &report, threads, &label);
+        }
+        assert_eq!(report.queue.pushes, report.queue.pops, "{label}");
+        assert_eq!(report.queue.buckets, 1024, "{label}");
+        reports.push(report);
     }
     reports
 }
 
+/// The golden fingerprints were reproduced by both schedulers at every
+/// lane width the fleet once offered; the runtime now has one of each.
 #[test]
 fn calendar_and_heap_schedulers_agree_across_threads_and_lanes() {
     let config = config(MacAlgorithm::HmacSha256);

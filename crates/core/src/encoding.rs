@@ -20,8 +20,8 @@
 //! A collection *batch* is a response count (u16, at most
 //! [`MAX_BATCH_RESPONSES`]) followed by that many responses back to back.
 //! It is the wire frame for one hub delivery burst — the unit
-//! [`crate::VerifierHub::ingest_frame`] consumes: decode, verify each
-//! response straight off the frame, fold the reports in.
+//! [`crate::VerifierHub::ingest_sequenced_frame`] consumes: decode, verify
+//! each response straight off the frame, fold the reports in.
 //!
 //! # Strictness
 //!
@@ -639,7 +639,7 @@ pub fn encode_collection_batch_into(out: &mut Vec<u8>, responses: &[CollectionRe
 /// Serializes a burst of collection responses as one batch frame — what a
 /// single hub delivery event carries on the wire before each response is
 /// verified and the reports are folded in via
-/// [`crate::VerifierHub::ingest_frame`].
+/// [`crate::VerifierHub::ingest_sequenced_frame`].
 ///
 /// # Panics
 ///

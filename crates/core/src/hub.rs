@@ -60,24 +60,7 @@ impl FlowWindow {
     }
 }
 
-/// Per-batch accept/reject accounting returned by
-/// [`VerifierHub::ingest_batch`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchIngest {
-    /// Reports folded into a device history.
-    pub accepted: u64,
-    /// Reports rejected by the per-device device-ID cross-check.
-    pub rejected: u64,
-}
-
-impl BatchIngest {
-    /// Total reports the batch carried.
-    pub fn total(&self) -> u64 {
-        self.accepted + self.rejected
-    }
-}
-
-/// Per-frame accounting returned by [`VerifierHub::ingest_frame`].
+/// Per-frame accounting returned by [`VerifierHub::ingest_sequenced_frame`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrameIngest {
     /// Response records the frame carried.
@@ -185,75 +168,19 @@ impl VerifierHub {
         accepted
     }
 
-    /// Folds a whole burst of collection reports — one network delivery
-    /// event's worth — into the hub, amortizing the per-device routing.
-    ///
-    /// Reports are grouped by device first (a stable sort, so each device's
-    /// reports keep their arrival order) and each device's history is looked
-    /// up once per batch instead of once per report, which is what makes
-    /// batched ingestion cheaper than repeated [`VerifierHub::ingest`] calls
-    /// when collections arrive in stagger-group-sized bursts.
-    ///
-    /// Per-report accept/reject accounting is identical to the single-report
-    /// path: the returned [`BatchIngest`] totals match what the counters
-    /// advanced by.
-    pub fn ingest_batch<'a, I>(&mut self, reports: I) -> BatchIngest
-    where
-        I: IntoIterator<Item = &'a CollectionReport>,
-    {
-        let mut batch: Vec<&CollectionReport> = reports.into_iter().collect();
-        batch.sort_by_key(|report| report.device());
-        let mut outcome = BatchIngest::default();
-        let mut index = 0;
-        while index < batch.len() {
-            let device = batch[index].device();
-            let mode = self.mode;
-            let history = self
-                .histories
-                .entry(device)
-                .or_insert_with(|| DeviceHistory::with_mode(device, mode));
-            while index < batch.len() && batch[index].device() == device {
-                if history.ingest(batch[index]) {
-                    outcome.accepted += 1;
-                } else {
-                    outcome.rejected += 1;
-                }
-                index += 1;
-            }
-        }
-        self.ingested += outcome.accepted;
-        self.rejected += outcome.rejected;
-        outcome
-    }
-
-    /// Wire-native ingestion: validates one batch frame zero-copy, has
-    /// `verify` (which owns the per-device key material) check each response
-    /// record straight off the frame, and folds the surviving reports in
-    /// through [`VerifierHub::ingest_batch`] — so per-report accept/reject
-    /// accounting is *literally* the struct path's accounting.
+    /// Wire-native, ARQ-aware ingestion: validates one batch frame
+    /// zero-copy, checks its `(flow, sequence)` identity against the hub's
+    /// per-flow dedup window, has `verify` (which owns the per-device key
+    /// material) check each response record straight off the frame, and
+    /// folds each surviving report in through [`VerifierHub::ingest`].
+    /// Per-report accept/reject accounting is therefore that of `ingest`,
+    /// and retransmissions and duplicated deliveries are accepted **exactly
+    /// once**.
     ///
     /// `verify` is handed each [`ResponseView`] in wire order and returns
     /// the report to ingest, or `None` to drop the record (counted in
     /// [`FrameIngest::verify_failed`]) — e.g. for a record about an unknown
     /// device or one that fails MAC-level verification.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`DecodeError`] when the frame violates the strict codec
-    /// contract. The hub is left completely untouched in that case: a frame
-    /// either decodes as a whole or contributes nothing.
-    pub fn ingest_frame<F>(&mut self, frame: &[u8], verify: F) -> Result<FrameIngest, DecodeError>
-    where
-        F: FnMut(ResponseView<'_>) -> Option<CollectionReport>,
-    {
-        let parsed = FrameView::parse(frame)?;
-        Ok(self.ingest_parsed(&parsed, verify))
-    }
-
-    /// ARQ-aware wire ingestion: like [`VerifierHub::ingest_frame`], but the
-    /// frame carries a `(flow, sequence)` identity checked against the hub's
-    /// per-flow dedup window first, so retransmissions and duplicated
-    /// deliveries are accepted **exactly once**.
     ///
     /// Returns `Ok(None)` — and counts the frame in
     /// [`VerifierHub::duplicates`] — when the window has already accepted
@@ -288,8 +215,11 @@ impl VerifierHub {
         Ok(Some(self.ingest_parsed(&parsed, verify)))
     }
 
-    /// Shared tail of the frame-ingestion paths: verify each response off
-    /// the already-validated frame and fold the survivors in.
+    /// Verifies each response off the already-validated frame and folds
+    /// each survivor into its device history as soon as `verify` returns
+    /// it. Histories of different devices are independent and each
+    /// device's reports keep their wire order, so the fold needs no
+    /// buffering or grouping.
     fn ingest_parsed<F>(&mut self, parsed: &FrameView<'_>, mut verify: F) -> FrameIngest
     where
         F: FnMut(ResponseView<'_>) -> Option<CollectionReport>,
@@ -299,16 +229,13 @@ impl VerifierHub {
             bytes: parsed.frame_len() as u64,
             ..FrameIngest::default()
         };
-        let mut reports = Vec::with_capacity(parsed.len());
         for view in parsed.responses() {
             match verify(view) {
-                Some(report) => reports.push(report),
+                Some(report) if self.ingest(&report) => outcome.accepted += 1,
+                Some(_) => outcome.rejected += 1,
                 None => outcome.verify_failed += 1,
             }
         }
-        let batch = self.ingest_batch(reports.iter());
-        outcome.accepted = batch.accepted;
-        outcome.rejected = batch.rejected;
         outcome
     }
 
@@ -550,40 +477,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_ingest_matches_per_report_ingest() {
-        // Build one burst: two windows for device 0, one each for 1 and 2,
-        // deliberately interleaved so the batch path has to group them.
-        let mut reports = Vec::new();
-        let (mut p0, mut v0) = provision(0);
-        let (mut p1, mut v1) = provision(1);
-        let (mut p2, mut v2) = provision(2);
-        reports.push(collect(&mut p0, &mut v0, 40, 4));
-        reports.push(collect(&mut p1, &mut v1, 40, 4));
-        reports.push(collect(&mut p0, &mut v0, 80, 4));
-        reports.push(collect(&mut p2, &mut v2, 40, 4));
-
-        let mut batched = VerifierHub::new();
-        let outcome = batched.ingest_batch(reports.iter());
-        assert_eq!(outcome.accepted, 4);
-        assert_eq!(outcome.rejected, 0);
-        assert_eq!(outcome.total(), 4);
-
-        let mut sequential = VerifierHub::new();
-        for report in &reports {
-            assert!(sequential.ingest(report));
-        }
-        assert_eq!(batched, sequential);
-        assert_eq!(batched.ingested(), 4);
-        assert_eq!(batched.total_collections(), 4);
-        assert_eq!(batched.history(DeviceId::new(0)).expect("tracked").len(), 8);
-    }
-
-    #[test]
     fn wire_batch_decodes_verifies_and_ingests_end_to_end() {
         // The full networked-hub pipeline over the batch framing: provers
         // answer collections, the responses cross the wire as one batch
         // frame, the receiving side decodes, verifies each response and
-        // folds the burst in via ingest_batch.
+        // folds each report in via ingest.
         use crate::encoding::{decode_collection_batch, encode_collection_batch};
         use crate::protocol::CollectionResponse;
 
@@ -614,8 +512,10 @@ mod tests {
         assert!(reports.iter().all(CollectionReport::all_valid));
 
         let mut hub = VerifierHub::new();
-        let outcome = hub.ingest_batch(reports.iter());
-        assert_eq!(outcome.accepted, 3);
+        for report in &reports {
+            assert!(hub.ingest(report));
+        }
+        assert_eq!(hub.ingested(), 3);
         assert_eq!(hub.len(), 3);
         assert_eq!(hub.total_entries(), 12);
         assert!(hub.all_healthy());
@@ -626,53 +526,69 @@ mod tests {
         use crate::encoding::encode_collection_batch;
         use crate::protocol::{CollectionRequest, CollectionResponse};
 
-        let mut responses: Vec<CollectionResponse> = Vec::new();
-        let mut verifiers = Vec::new();
-        for id in 0..3u64 {
-            let (mut prover, verifier) = provision(id);
-            prover.run_until(SimTime::from_secs(40)).expect("runs");
-            responses.push(
-                prover.handle_collection(&CollectionRequest::latest(4), SimTime::from_secs(40)),
-            );
-            verifiers.push(verifier);
-        }
-        let frame = encode_collection_batch(&responses);
+        // Each input is one frame's records as `(device, collection
+        // instant in s)`, in wire order: ascending ids; descending ids
+        // with device 1 carried twice; and an empty frame.
+        let inputs: [&[(u64, u64)]; 3] = [
+            &[(0, 40), (1, 40), (2, 40)],
+            &[(2, 40), (1, 40), (1, 80), (0, 40)],
+            &[],
+        ];
+        for records in inputs {
+            let mut provers = Vec::new();
+            let mut verifiers = Vec::new();
+            for id in 0..3u64 {
+                let (prover, verifier) = provision(id);
+                provers.push(prover);
+                verifiers.push(verifier);
+            }
+            let responses: Vec<CollectionResponse> = records
+                .iter()
+                .map(|&(id, at)| {
+                    let prover = &mut provers[id as usize];
+                    prover.run_until(SimTime::from_secs(at)).expect("runs");
+                    prover.handle_collection(&CollectionRequest::latest(4), SimTime::from_secs(at))
+                })
+                .collect();
+            let frame = encode_collection_batch(&responses);
 
-        // Struct path: decode, verify, ingest_batch.
-        let mut struct_hub = VerifierHub::new();
-        let mut struct_verifiers = verifiers.clone();
-        let reports: Vec<CollectionReport> = responses
-            .iter()
-            .zip(struct_verifiers.iter_mut())
-            .map(|(response, verifier)| {
-                verifier
-                    .verify_collection(response, SimTime::from_secs(40))
-                    .expect("verifies")
-            })
-            .collect();
-        let struct_outcome = struct_hub.ingest_batch(reports.iter());
+            // Per-report oracle: verify each response, then ingest it.
+            let mut struct_hub = VerifierHub::new();
+            let mut struct_verifiers = verifiers.clone();
+            for (response, &(id, at)) in responses.iter().zip(records) {
+                let report = struct_verifiers[id as usize]
+                    .verify_collection(response, SimTime::from_secs(at))
+                    .expect("verifies");
+                assert!(struct_hub.ingest(&report));
+            }
 
-        // Frame path: verify straight off the frame inside ingest_frame.
-        let mut frame_hub = VerifierHub::new();
-        let outcome = frame_hub
-            .ingest_frame(&frame, |view| {
-                let verifier = &mut verifiers[view.device().value() as usize];
-                Some(
-                    verifier
-                        .verify_frame_response(&view, SimTime::from_secs(40))
-                        .expect("verifies"),
-                )
-            })
-            .expect("frame decodes");
+            // Frame path: verify straight off the frame, fold as verified.
+            let mut frame_hub = VerifierHub::new();
+            let mut instants = records.iter().map(|&(_, at)| SimTime::from_secs(at));
+            let outcome = frame_hub
+                .ingest_sequenced_frame(0, 0, &frame, |view| {
+                    let at = instants.next().expect("one instant per record");
+                    let verifier = &mut verifiers[view.device().value() as usize];
+                    Some(verifier.verify_frame_response(&view, at).expect("verifies"))
+                })
+                .expect("frame decodes")
+                .expect("fresh sequence");
 
-        assert_eq!(outcome.responses, 3);
-        assert_eq!(outcome.accepted, struct_outcome.accepted);
-        assert_eq!(outcome.rejected, struct_outcome.rejected);
-        assert_eq!(outcome.verify_failed, 0);
-        assert_eq!(outcome.bytes, frame.len() as u64);
-        assert_eq!(frame_hub, struct_hub);
-        for (a, b) in struct_verifiers.iter().zip(&verifiers) {
-            assert_eq!(a.last_collection(), b.last_collection());
+            let label = format!("{records:?}");
+            let count = records.len() as u64;
+            assert_eq!(outcome.responses, count, "{label}");
+            assert_eq!(outcome.accepted, count, "{label}");
+            assert_eq!(outcome.rejected, 0, "{label}");
+            assert_eq!(outcome.verify_failed, 0, "{label}");
+            assert_eq!(outcome.bytes, frame.len() as u64, "{label}");
+            // Everything but the frame path's dedup window is identical.
+            assert_eq!(frame_hub.histories, struct_hub.histories, "{label}");
+            assert_eq!(frame_hub.ingested(), struct_hub.ingested(), "{label}");
+            assert_eq!(frame_hub.rejected(), struct_hub.rejected(), "{label}");
+            assert_eq!(frame_hub.ingested(), count, "{label}");
+            for (a, b) in struct_verifiers.iter().zip(&verifiers) {
+                assert_eq!(a.last_collection(), b.last_collection(), "{label}");
+            }
         }
     }
 
@@ -690,7 +606,7 @@ mod tests {
 
         let mut hub = VerifierHub::new();
         let err = hub
-            .ingest_frame(&frame, |view| {
+            .ingest_sequenced_frame(7, 0, &frame, |view| {
                 verifier
                     .verify_frame_response(&view, SimTime::from_secs(40))
                     .ok()
@@ -720,7 +636,7 @@ mod tests {
 
         let mut hub = VerifierHub::new();
         let outcome = hub
-            .ingest_frame(&frame, |view| {
+            .ingest_sequenced_frame(7, 0, &frame, |view| {
                 use crate::report::AttestationVerdict;
                 let report = verifier
                     .verify_frame_response(&view, SimTime::from_secs(40))
@@ -728,7 +644,8 @@ mod tests {
                 assert_eq!(report.verdict(), AttestationVerdict::TamperingDetected);
                 None
             })
-            .expect("frame decodes");
+            .expect("frame decodes")
+            .expect("fresh sequence");
         assert_eq!(outcome.responses, 1);
         assert_eq!(outcome.verify_failed, 1);
         assert_eq!(outcome.accepted, 0);
@@ -917,15 +834,6 @@ mod tests {
             .is_none());
         assert_eq!(a.duplicates(), 3);
         assert_eq!(a.ingested(), 2);
-    }
-
-    #[test]
-    fn empty_batch_is_a_no_op() {
-        let mut hub = VerifierHub::new();
-        let outcome = hub.ingest_batch(std::iter::empty());
-        assert_eq!(outcome, BatchIngest::default());
-        assert!(hub.is_empty());
-        assert_eq!(hub.ingested(), 0);
     }
 
     #[test]

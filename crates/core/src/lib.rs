@@ -100,7 +100,7 @@ pub use encoding::{
 };
 pub use error::Error;
 pub use history::{extend_digest, DeviceHistory, HistoryEntry, HistoryMode, HistorySpan};
-pub use hub::{BatchIngest, FrameIngest, VerifierHub, DEDUP_WINDOW};
+pub use hub::{FrameIngest, VerifierHub, DEDUP_WINDOW};
 pub use ids::DeviceId;
 pub use malware::{Malware, MalwareBehavior, TamperStrategy};
 pub use measurement::{Measurement, MemoryDigest, DIGEST_LEN, MAC_INPUT_LEN};

@@ -184,7 +184,7 @@ impl Verifier {
     }
 
     /// Verifies one response record straight off a validated wire frame —
-    /// the zero-copy half of [`crate::VerifierHub::ingest_frame`].
+    /// the zero-copy half of [`crate::VerifierHub::ingest_sequenced_frame`].
     ///
     /// The result is bit-identical to [`Verifier::verify_collection`] over
     /// the decoded equivalent: both entry points share one verification

@@ -8,8 +8,8 @@
 
 use erasmus_core::{
     decode_collection_batch, decode_hub_snapshot, encode_collection_batch, encode_hub_snapshot,
-    AttestationVerdict, CollectionReport, CollectionRequest, CollectionResponse, DecodeErrorKind,
-    DeviceId, FrameView, Prover, ProverConfig, Verifier, VerifierHub, DEDUP_WINDOW, DIGEST_LEN,
+    AttestationVerdict, CollectionRequest, CollectionResponse, DecodeErrorKind, DeviceId,
+    FrameView, Prover, ProverConfig, Verifier, VerifierHub, DEDUP_WINDOW, DIGEST_LEN,
     MAX_BATCH_RESPONSES,
 };
 use erasmus_crypto::MacAlgorithm;
@@ -80,16 +80,19 @@ fn assert_rejected(frame: &[u8], kind: DecodeErrorKind, label: &str) {
     let mut hub = VerifierHub::new();
     let mut called = false;
     let error = hub
-        .ingest_frame(frame, |_| {
+        .ingest_sequenced_frame(0, 0, frame, |_| {
             called = true;
             None
         })
         .expect_err(label);
     assert_eq!(error.kind(), kind, "{label}: hub path");
     assert!(!called, "{label}: verify callback ran on a rejected frame");
-    assert!(hub.is_empty(), "{label}: hub grew on a rejected frame");
-    assert_eq!(hub.ingested(), 0, "{label}");
-    assert_eq!(hub.rejected(), 0, "{label}");
+    // Not even the dedup window moved.
+    assert_eq!(
+        hub,
+        VerifierHub::new(),
+        "{label}: hub changed on a rejected frame"
+    );
 }
 
 #[test]
@@ -180,7 +183,7 @@ fn duplicated_and_reordered_records_still_decode_and_verify() {
     // Each reordered record still verifies against its own device key.
     let mut hub = VerifierHub::new();
     let outcome = hub
-        .ingest_frame(&reordered, |view| {
+        .ingest_sequenced_frame(0, 0, &reordered, |view| {
             let verifier = if view.device().value() == 0 {
                 &mut v0
             } else {
@@ -188,7 +191,8 @@ fn duplicated_and_reordered_records_still_decode_and_verify() {
             };
             Some(verifier.verify_frame_response(&view, at).expect("verifies"))
         })
-        .expect("decodes");
+        .expect("decodes")
+        .expect("fresh sequence");
     assert_eq!(outcome.accepted, 2);
     assert_eq!(outcome.verify_failed, 0);
     assert!(hub.all_healthy());
@@ -208,7 +212,7 @@ fn bit_flips_in_mac_and_digest_surface_as_tampering_not_decode_errors() {
         flipped[flip_at] ^= 0x80;
         let mut hub = VerifierHub::new();
         let outcome = hub
-            .ingest_frame(&flipped, |view| {
+            .ingest_sequenced_frame(0, 0, &flipped, |view| {
                 let report = verifier
                     .verify_frame_response(&view, at)
                     .expect("well-formed record still yields a report");
@@ -219,7 +223,8 @@ fn bit_flips_in_mac_and_digest_surface_as_tampering_not_decode_errors() {
                 );
                 None
             })
-            .expect("bit-flipped frame still decodes");
+            .expect("bit-flipped frame still decodes")
+            .expect("fresh sequence");
         assert_eq!(outcome.verify_failed, 1, "{label} flip");
         assert_eq!(outcome.accepted, 0, "{label} flip");
         assert!(hub.is_empty(), "{label} flip");
@@ -377,8 +382,10 @@ fn corrupted_snapshots_are_rejected_not_misparsed() {
 
 #[test]
 fn frame_and_struct_ingestion_agree_at_fleet_scale() {
-    // 16 devices × 2 rounds, both paths fed the same responses: the hubs
-    // must end up equal, entry for entry, and the counters must match.
+    // 16 devices × 2 rounds, both paths fed the same responses: the hubs'
+    // histories must end up equal, entry for entry, and the counters must
+    // match. The per-report oracle verifies each response and folds it in
+    // with `ingest`.
     const FLEET: u64 = 16;
     let mut fleet: Vec<(Prover, Verifier)> = (0..FLEET).map(provision).collect();
     let mut struct_verifiers: Vec<Verifier> =
@@ -397,25 +404,25 @@ fn frame_and_struct_ingestion_agree_at_fleet_scale() {
         let frame = encode_collection_batch(&responses);
 
         let outcome = frame_hub
-            .ingest_frame(&frame, |view| {
+            .ingest_sequenced_frame(0, round, &frame, |view| {
                 let verifier = &mut fleet[view.device().value() as usize].1;
                 Some(verifier.verify_frame_response(&view, at).expect("verifies"))
             })
-            .expect("fleet frame decodes");
+            .expect("fleet frame decodes")
+            .expect("fresh sequence");
         assert_eq!(outcome.responses, FLEET);
         assert_eq!(outcome.accepted, FLEET);
         assert_eq!(outcome.bytes, frame.len() as u64);
 
-        let reports: Vec<CollectionReport> = responses
-            .iter()
-            .zip(struct_verifiers.iter_mut())
-            .map(|(response, verifier)| verifier.verify_collection(response, at).expect("verifies"))
-            .collect();
-        let struct_outcome = struct_hub.ingest_batch(reports.iter());
-        assert_eq!(struct_outcome.accepted, FLEET);
+        for (response, verifier) in responses.iter().zip(struct_verifiers.iter_mut()) {
+            let report = verifier.verify_collection(response, at).expect("verifies");
+            assert!(struct_hub.ingest(&report));
+        }
     }
 
-    assert_eq!(frame_hub, struct_hub);
+    assert!(frame_hub.histories().eq(struct_hub.histories()));
+    assert_eq!(frame_hub.ingested(), struct_hub.ingested());
+    assert_eq!(frame_hub.rejected(), struct_hub.rejected());
     assert_eq!(frame_hub.ingested(), FLEET * 2);
     assert_eq!(frame_hub.total_entries(), FLEET * 2 * PER_ROUND as u64);
     for ((_, frame_v), struct_v) in fleet.iter().zip(&struct_verifiers) {

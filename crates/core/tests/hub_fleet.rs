@@ -2,7 +2,7 @@
 //! collection rounds, strict per-device isolation — the path where a missing
 //! device-ID check in `DeviceHistory::ingest` would silently cross-pollinate
 //! timelines — and the property that the struct fold (`verify_collection` +
-//! `ingest_batch`) and the frame fold (encoded batch frames through
+//! one `ingest` per report) and the frame fold (encoded batch frames through
 //! `ingest_sequenced_frame` + `verify_frame_response`) leave identical
 //! histories on a hostile fleet.
 
@@ -239,7 +239,9 @@ proptest! {
                             .ok()
                     })
                     .collect();
-                struct_hub.ingest_batch(reports.iter());
+                for report in &reports {
+                    prop_assert!(struct_hub.ingest(report));
+                }
 
                 frame.clear();
                 encode_collection_batch_into(&mut frame, burst);
