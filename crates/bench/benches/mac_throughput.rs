@@ -18,7 +18,9 @@ use erasmus_sim::{SimDuration, SimTime};
 fn bench_mac_throughput(c: &mut Criterion) {
     let key = [0x42u8; 32];
     let mut group = c.benchmark_group("mac_throughput");
-    for size in [1024usize, 64 * 1024, 1024 * 1024] {
+    // 64 B is one compression; 256 B and 16 KiB are the fleet benchmark's
+    // memory-image sizes.
+    for size in [64usize, 256, 1024, 16 * 1024, 64 * 1024, 1024 * 1024] {
         let data = vec![0xabu8; size];
         group.throughput(Throughput::Bytes(size as u64));
 
